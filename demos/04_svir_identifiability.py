@@ -26,14 +26,15 @@ chi = svir_sensitivity(NOMINAL_SVIR)
 print(f"sensitivity matrix: {chi.shape[0]} observations x "
       f"{chi.shape[1]} parameters {PARAM_NAMES}")
 
-sigma = svd(chi).sigma
+chi_svd = svd(chi)
+sigma = chi_svd.sigma
 print(f"singular values: {np.array2string(sigma, precision=3)}")
 sel = select_k(sigma, RankPolicy.gap())
 print(f"gap policy selects k = {sel.k} identifiable parameters\n")
 
 for fn in (css_b1, css_b4, css_b3, css_srrqr):
     res = fn(chi, sel.k)
-    rec = compute_metrics(chi, res)
+    rec = compute_metrics(chi, chi_svd, res)
     dropped = [PARAM_NAMES[j] for j in res.unidentifiable]
     print(f"{res.algorithm:<6} drops {dropped}  "
           f"gamma1 = {rec.gamma1:.4f}  gamma2 = {rec.gamma2:.4f}  "

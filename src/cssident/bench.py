@@ -1,7 +1,8 @@
 """Multi-realization experiment runner and aggregation.
 
 An experiment draws ``realizations`` matrices from one generator family
-(seed = base_seed + i), runs each configured algorithm, computes metrics,
+(seed = base_seed + i), decomposes each once, runs each configured
+algorithm on it, computes metrics,
 and aggregates mean/median/min/max/quartiles per algorithm.  Per-row
 results go to CSV, aggregates (and wall-clock times, which are not part
 of the deterministic row data) go to JSON.
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .config import DEFAULT, SCHEMA_VERSION, Tolerances
 from .css import ALGORITHMS, RankPolicy, SrrqrConfig, run_css
 from .errors import CssIdentError, InputDomainError
@@ -199,12 +201,17 @@ def run_experiment(spec: ExperimentSpec, tol: Tolerances = DEFAULT) -> Aggregate
             for alg in spec.algorithms:
                 rows.append(_error_row(seed, alg, f"generator: {exc}"))
             continue
+        try:
+            chi_svd = linalg.svd(chi, tol)
+        except CssIdentError as exc:
+            rows.extend(_error_row(seed, alg, str(exc)) for alg in spec.algorithms)
+            continue
         for alg in spec.algorithms:
             t0 = time.perf_counter()
             try:
                 cfg = SrrqrConfig(f=float(spec.f.get(alg, 1.0)))
-                result = run_css(chi, alg, spec.k_policy, cfg, tol)
-                rec = compute_metrics(chi, result, tol)
+                result = run_css(chi, chi_svd, alg, spec.k_policy, cfg, tol)
+                rec = compute_metrics(chi, chi_svd, result, tol)
             except CssIdentError as exc:
                 rows.append(_error_row(seed, alg, str(exc)))
                 continue

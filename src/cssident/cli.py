@@ -20,20 +20,12 @@ import jsonschema
 import numpy as np
 
 from . import bench as bench_mod
-from .bench import ExperimentSpec, json_safe, run_experiment
+from . import linalg
+from .bench import ExperimentSpec, json_safe, realize, run_experiment
 from .config import SCHEMA_VERSION
 from .css import ALGORITHMS, RankPolicy, SrrqrConfig, run_css
 from .errors import InputDomainError, IntegrationFailureError, NumericalFailureError
-from .generators import (
-    FAMILIES,
-    SpectrumSpec,
-    designated_k,
-    gen_gu_eisenstat,
-    gen_jolliffe,
-    gen_kahan,
-    gen_ships,
-    gen_sorensen_embree,
-)
+from .generators import FAMILIES, designated_k
 from .linalg import SvdFactors, check_matrix
 from .matio import read_matrix, write_matrix
 from .metrics import compute_metrics, gram_loss_demo, theorem_bound_checks
@@ -79,9 +71,10 @@ def cmd_analyze(args) -> int:
     chi = read_matrix(args.input)
     policy = _policy_from_args(args)
     cfg = SrrqrConfig(f=args.f)
-    result = run_css(chi, args.algorithm, policy, cfg)
-    record = compute_metrics(chi, result)
-    checks = theorem_bound_checks(chi, result, f=args.f)
+    chi_svd = linalg.svd(chi)
+    result = run_css(chi, chi_svd, args.algorithm, policy, cfg)
+    record = compute_metrics(chi, chi_svd, result)
+    checks = theorem_bound_checks(chi_svd, result, f=args.f)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "input": str(args.input),
@@ -103,54 +96,28 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_from_args(args, default_spacing: str) -> SpectrumSpec:
+def _generator_params(args) -> dict:
+    # the generator description that realize() reads, as the sidecar records it
+    if args.family in ("kahan", "gu_eisenstat"):
+        if args.zeta is None:
+            raise InputDomainError(f"{args.family} requires --zeta")
+        return {"n": args.n, "zeta": args.zeta}
     if args.k is None or args.p is None:
         raise InputDomainError(f"{args.family} requires --p and --k")
-    return SpectrumSpec(
-        k=args.k,
-        leading=tuple(args.leading),
-        trailing=tuple(args.trailing),
-        spacing=args.spacing or default_spacing,
-    )
+    params: dict = {"n": args.n, "p": args.p}
+    if args.family == "jolliffe":
+        params |= {"block_size": args.block_size, "rho_range": list(args.rho_range)}
+    default_spacing = "logspace" if args.family == "ships" else "uniform"
+    params["spectrum"] = {"k": args.k, "leading": list(args.leading),
+                          "trailing": list(args.trailing),
+                          "spacing": args.spacing or default_spacing}
+    return params
 
 
 def cmd_generate(args) -> int:
     family = args.family
-    params: dict = {}
-    desig = None
-    if family == "kahan":
-        if args.zeta is None:
-            raise InputDomainError("kahan requires --zeta")
-        matrix = gen_kahan(args.n, args.zeta)
-        params = {"n": args.n, "zeta": args.zeta}
-        desig = designated_k(family, n=args.n)
-    elif family == "gu_eisenstat":
-        if args.zeta is None:
-            raise InputDomainError("gu_eisenstat requires --zeta")
-        matrix = gen_gu_eisenstat(args.n, args.zeta)
-        params = {"n": args.n, "zeta": args.zeta}
-        desig = designated_k(family, n=args.n)
-    elif family == "jolliffe":
-        spec = _spectrum_from_args(args, "uniform")
-        matrix = gen_jolliffe(args.n, args.p, block_size=args.block_size,
-                              rho_range=tuple(args.rho_range), spec=spec,
-                              seed=args.seed)
-        params = {"n": args.n, "p": args.p, "block_size": args.block_size,
-                  "rho_range": list(args.rho_range),
-                  "spectrum": _spectrum_dict(spec)}
-        desig = args.k
-    elif family == "sorensen_embree":
-        spec = _spectrum_from_args(args, "uniform")
-        matrix = gen_sorensen_embree(args.n, args.p, spec, seed=args.seed)
-        params = {"n": args.n, "p": args.p, "spectrum": _spectrum_dict(spec)}
-        desig = args.k
-    elif family == "ships":
-        spec = _spectrum_from_args(args, "logspace")
-        matrix = gen_ships(args.n, args.p, spec, seed=args.seed)
-        params = {"n": args.n, "p": args.p, "spectrum": _spectrum_dict(spec)}
-        desig = args.k
-    else:
-        raise InputDomainError(f"unknown family {family!r}")
+    params = _generator_params(args)
+    matrix = realize({"family": family, **params}, args.seed)
     write_matrix(matrix, args.output, args.format)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
@@ -159,17 +126,12 @@ def cmd_generate(args) -> int:
         "params": params,
         "rows": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
-        "designated_k": desig,
+        "designated_k": designated_k(family, n=args.n, k=args.k),
         "format": args.format,
         "matrix_file": str(args.output),
     }
     _write_json(sidecar, args.sidecar or str(args.output) + ".json")
     return EXIT_OK
-
-
-def _spectrum_dict(spec: SpectrumSpec) -> dict:
-    return {"k": spec.k, "leading": list(spec.leading),
-            "trailing": list(spec.trailing), "spacing": spec.spacing}
 
 
 def cmd_bench(args) -> int:

@@ -8,7 +8,7 @@ transpositions, with magnitude ties broken to the lowest index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +18,9 @@ from .config import DEFAULT, Tolerances
 from .errors import InputDomainError, NumericalFailureError
 from .linalg import (
     QrFactors,
+    SvdFactors,
+    _nonneg_diag,
+    _pow2_scale,
     check_matrix,
     identity_perm,
     qr_col_pivoted,
@@ -202,10 +205,7 @@ def css_b1(chi, k: int, tol: Tolerances = DEFAULT) -> CssResult:
         v = vt[-1]
         m = int(np.argmax(np.abs(v)))
         t = _transposition(ell, m, ell - 1)
-        qt, rt = np.linalg.qr(r11[:, t])
-        s = np.sign(np.diag(rt))
-        s[s == 0] = 1.0
-        qt, rt = qt * s, np.triu(rt * s[:, None])
+        qt, rt = _nonneg_diag(*np.linalg.qr(r11[:, t]))
         perm[:ell] = perm[:ell][t]
         r[:ell, :ell] = rt
         r[:ell, ell:] = qt.T @ r[:ell, ell:]
@@ -218,11 +218,8 @@ def _retriangularize_trailing(q, r, perm, i0: int, t: np.ndarray) -> None:
     p = r.shape[0]
     cols = np.arange(i0, p)[t]
     r[:, i0:] = r[:, cols]
-    qt, rt = np.linalg.qr(r[i0:, i0:])
-    s = np.sign(np.diag(rt))
-    s[s == 0] = 1.0
-    r[i0:, i0:] = np.triu(rt * s[:, None])
-    q[:, i0:] = q[:, i0:] @ (qt * s)
+    qt, r[i0:, i0:] = _nonneg_diag(*np.linalg.qr(r[i0:, i0:]))
+    q[:, i0:] = q[:, i0:] @ qt
     perm[i0:] = perm[i0:][t]
 
 
@@ -248,14 +245,16 @@ def css_b4(chi, k: int, tol: Tolerances = DEFAULT) -> CssResult:
     return _result("b4", arr, k, perm, q, r)
 
 
-def css_b3(chi, k: int, tol: Tolerances = DEFAULT) -> CssResult:
+def css_b3(chi, k: int, tol: Tolerances = DEFAULT,
+           chi_svd: SvdFactors | None = None) -> CssResult:
     """Greedy selection by column norms of the dominant right subspace.
 
     For l = 1..k the k-l+1 dominant right singular vectors of the trailing
     block form W (transposed); the column of W with the largest 2-norm is
     swapped to the front of the block.  The norm ||V11^{-1}||_2 of the
     selected leading block of the input's dominant right singular vectors
-    is reported in ``extras['v11_inv_norm']``.
+    is reported in ``extras['v11_inv_norm']``; pass ``chi_svd = svd(chi)``
+    when it is already known, otherwise it is computed here.
     """
     arr = _check_css_input(chi, k)
     p = arr.shape[1]
@@ -269,19 +268,20 @@ def css_b3(chi, k: int, tol: Tolerances = DEFAULT) -> CssResult:
         m = int(np.argmax(np.linalg.norm(w, axis=0)))
         t = _transposition(p - i0, m, 0)
         _retriangularize_trailing(q, r, perm, i0, t)
-    v11_inv = v11_inverse_norm(arr, perm, k, tol)
+    if chi_svd is None:
+        chi_svd = svd(arr, tol)
+    v11_inv = v11_inverse_norm(chi_svd, perm, k)
     return _result("b3", arr, k, perm, q, r, extras={"v11_inv_norm": v11_inv})
 
 
-def v11_inverse_norm(chi, perm, k: int, tol: Tolerances = DEFAULT) -> float:
+def v11_inverse_norm(chi_svd: SvdFactors, perm, k: int) -> float:
     """||V11^{-1}||_2 for the leading k x k block of V1^T P.
 
-    V1 holds the k dominant right singular vectors of ``chi``; the value
-    is 1/sigma_min of the rows of V1 picked by the first k permutation
-    entries.  Infinite when that block is singular.
+    V1 holds the k dominant right singular vectors in ``chi_svd``; the
+    value is 1/sigma_min of the rows of V1 picked by the first k
+    permutation entries.  Infinite when that block is singular.
     """
-    fac = svd(check_matrix(chi), tol)
-    block = fac.v[np.asarray(perm)[:k], :k]
+    block = chi_svd.v[np.asarray(perm)[:k], :k]
     smin = np.linalg.svd(block, compute_uv=False)[-1]
     return float(1.0 / smin) if smin > 0 else float("inf")
 
@@ -315,7 +315,8 @@ def srrqr_rho(r, k: int, i: int, j: int) -> float:
     the ratio det(R~11)/det(R11) after the physical swap and re-QR, for
     triangular factors with nonnegative diagonals.  Indices are 0-based:
     0 <= i < k indexes rows of the leading block, 0 <= j < p-k indexes
-    columns of the trailing block.
+    columns of the trailing block.  This is entry (i, j) of the matrix
+    that :func:`css_srrqr` maximizes.
     """
     arr = _check_triangular(r)
     p = arr.shape[0]
@@ -323,16 +324,15 @@ def srrqr_rho(r, k: int, i: int, j: int) -> float:
         raise InputDomainError(f"k must satisfy 1 <= k < p, got k={k}, p={p}")
     if not (0 <= i < k and 0 <= j < p - k):
         raise InputDomainError(f"indices out of range: i={i}, j={j}, k={k}, p={p}")
-    r11 = arr[:k, :k]
-    if np.any(np.diag(r11) == 0.0):
+    if np.any(np.diag(arr)[:k] == 0.0):
         raise NumericalFailureError("leading block R11 is singular")
-    a_ij = sla.solve_triangular(r11, arr[:k, k + j])[i]
-    gamma_j = np.linalg.norm(arr[k:, k + j])
-    omega_inv_i = np.linalg.norm(sla.solve_triangular(r11, np.eye(k))[i])
-    return float(np.hypot(a_ij, gamma_j * omega_inv_i))
+    return float(_rho_matrix(arr, k)[i, j])
 
 
 def _rho_matrix(r, k: int) -> np.ndarray:
+    # rho is invariant under scaling r; the exact power-of-two scale keeps
+    # the row and column norms below from over- or underflowing
+    r = r * _pow2_scale(r)
     r11, r12, r22 = r[:k, :k], r[:k, k:], r[k:, k:]
     a = sla.solve_triangular(r11, r12)
     rinv = sla.solve_triangular(r11, np.eye(k))
@@ -372,11 +372,8 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None,
             break
         i, j = np.unravel_index(int(np.argmax(rho)), rho.shape)
         t = _transposition(p, int(i), k + int(j))
-        qt, rt = np.linalg.qr(r[:, t])
-        s = np.sign(np.diag(rt))
-        s[s == 0] = 1.0
-        r = np.triu(rt * s[:, None])
-        q = q @ (qt * s)
+        qt, r = _nonneg_diag(*np.linalg.qr(r[:, t]))
+        q = q @ qt
         perm = perm[t]
         swaps += 1
         logdet_history.append(float(np.sum(np.log(np.diag(r)[:k]))))
@@ -389,40 +386,25 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None,
     return _result("srrqr", arr, k, perm, q, r, swap_count=swaps, extras=extras)
 
 
-def run_css(chi, algorithm: str, policy: RankPolicy,
+def run_css(chi, chi_svd: SvdFactors, algorithm: str, policy: RankPolicy,
             cfg: SrrqrConfig | None = None,
             tol: Tolerances = DEFAULT) -> CssResult:
     """Select k by ``policy`` and run the requested algorithm.
 
-    ``algorithm`` is one of 'b1', 'b4', 'b3', 'srrqr'.
+    ``chi_svd`` is ``svd(chi)``; ``algorithm`` is one of 'b1', 'b4',
+    'b3', 'srrqr'.
     """
     arr = check_matrix(chi)
     name = algorithm.lower()
     if name not in ALGORITHMS:
         raise InputDomainError(f"unknown algorithm {algorithm!r}")
-    if policy.mode == "fixed":
-        # no SVD needed; clamp like select_k does
-        selection = RankSelection(min(max(int(policy.k), 1), arr.shape[1] - 1), False)
-    else:
-        selection = select_k(svd(arr, tol).sigma, policy)
-    k = selection.k
+    k, degenerate = select_k(chi_svd.sigma, policy)
     if name == "b1":
         result = css_b1(arr, k, tol)
     elif name == "b4":
         result = css_b4(arr, k, tol)
     elif name == "b3":
-        result = css_b3(arr, k, tol)
+        result = css_b3(arr, k, tol, chi_svd)
     else:
         result = css_srrqr(arr, k, cfg, tol)
-    if selection.degenerate:
-        result = CssResult(
-            algorithm=result.algorithm,
-            k=result.k,
-            factors=result.factors,
-            identifiable=result.identifiable,
-            unidentifiable=result.unidentifiable,
-            swap_count=result.swap_count,
-            degenerate_k=True,
-            extras=result.extras,
-        )
-    return result
+    return replace(result, degenerate_k=True) if degenerate else result

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InputDomainError
-from .linalg import qr_unpivoted
+from .linalg import _nonneg_diag, qr_unpivoted
 
 FAMILIES = ("kahan", "gu_eisenstat", "jolliffe", "sorensen_embree", "ships")
 
@@ -72,10 +72,7 @@ def haar_orthonormal(n: int, p: int, seed) -> np.ndarray:
 def _haar(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     # QR of a Gaussian with R-diagonal sign correction (Stewart's method)
     g = rng.standard_normal((n, p))
-    q, r = np.linalg.qr(g)
-    s = np.sign(np.diag(r))
-    s[s == 0] = 1.0
-    return q * s
+    return _nonneg_diag(*np.linalg.qr(g))[0]
 
 
 def gen_kahan(n: int, zeta: float) -> np.ndarray:
@@ -200,11 +197,8 @@ def gen_sorensen_embree(n: int, p: int, spec: SpectrumSpec, seed=0,
     sigma = spec.sample(p, rng)
     u = _haar(rng, n, p)
     ll = sorensen_embree_pattern(p, spec.k)
-    qfull, rfull = np.linalg.qr(ll, mode="complete")
-    s = np.sign(np.diag(rfull[:spec.k, :spec.k]))
-    s[s == 0] = 1.0
-    qfull[:, :spec.k] *= s
-    v = qfull
+    v, rfull = np.linalg.qr(ll, mode="complete")
+    v[:, :spec.k] = _nonneg_diag(v[:, :spec.k], rfull[:spec.k])[0]
     out = _compose(u, sigma, v)
     return (out, (u, sigma, v)) if return_parts else out
 

@@ -109,6 +109,12 @@ def _nonneg_diag(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s, np.triu(r * s[:, None])
 
 
+def _pow2_scale(a: np.ndarray) -> float:
+    # exact power of two that brings max|a| into [0.5, 1); scaling by it
+    # changes no bits of a result unless squares would over- or underflow
+    return float(np.ldexp(1.0, -np.frexp(np.max(np.abs(a)))[1]))
+
+
 def qr_unpivoted(a, tol: Tolerances = DEFAULT) -> QrFactors:
     """Thin Householder QR with identity permutation.
 
@@ -127,12 +133,15 @@ def qr_col_pivoted(a, tol: Tolerances = DEFAULT) -> QrFactors:
 
     At each step the pivot is the remaining column with the largest
     2-norm, recomputed from the updated trailing block; ties break to the
-    lowest index.  |diag(r)| is nonincreasing.
+    lowest index.  |diag(r)| is nonincreasing.  The factorization runs on
+    a copy scaled by an exact power of two, so the column norms cannot
+    over- or underflow and the pivots do not depend on the input's units.
     """
     arr = check_matrix(a)
     _require_tall(arr, "qr_col_pivoted")
     n, p = arr.shape
-    r = arr.copy()
+    scale = _pow2_scale(arr)
+    r = arr * scale
     perm = identity_perm(p)
     reflectors: list[tuple[int, np.ndarray] | None] = []
     for j in range(p):
@@ -158,7 +167,7 @@ def qr_col_pivoted(a, tol: Tolerances = DEFAULT) -> QrFactors:
             continue
         j, v = item
         q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-    q, r = _nonneg_diag(q, np.triu(r[:p, :]))
+    q, r = _nonneg_diag(q, np.triu(r[:p, :]) / scale)
     return QrFactors(perm=perm, q=q, r=r)
 
 

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 from .config import DEFAULT, RESIDUAL_DEFICIENCY_FACTOR, Tolerances
 from .css import CssResult, v11_inverse_norm
 from .errors import InputDomainError
-from .linalg import check_matrix, residual_norm, svd
+from .linalg import SvdFactors, check_matrix, residual_norm, svd
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,21 @@ class MetricsRecord:
         return asdict(self)
 
 
-def compute_metrics(chi, result: CssResult, tol: Tolerances = DEFAULT) -> MetricsRecord:
+def compute_metrics(chi, chi_svd: SvdFactors, result: CssResult,
+                    tol: Tolerances = DEFAULT) -> MetricsRecord:
     """Evaluate gamma1, gamma2 and tau for ``result`` against ``chi``.
 
-    The factors must actually factor ``chi`` (checked through the
-    reconstruction residual).  chi1/chi2 quantities are recomputed from
-    the selected columns, independently of the stored factors.
+    ``chi_svd`` is ``svd(chi)``.  The factors must actually factor ``chi``
+    (checked through the reconstruction residual).  chi1/chi2 quantities
+    are recomputed from the selected columns, independently of the stored
+    factors.
     """
     arr = check_matrix(chi)
     n, p = arr.shape
     k = result.k
     if result.factors.reconstruction_error(arr) > 100 * tol.recon:
         raise InputDomainError("result was not produced from this matrix")
-    sigma = svd(arr, tol).sigma
+    sigma = chi_svd.sigma
     sigma1 = float(sigma[0])
     cutoff = tol.rank_cutoff(n, sigma1)
 
@@ -129,19 +131,27 @@ def _check(name, lhs, rhs, sense, slack) -> BoundCheck:
                       rhs=float(rhs), sense=sense, slack=float(slack))
 
 
-def theorem_bound_checks(chi, result: CssResult, f: float | None = None,
-                         slack_factor: float = 1e-8,
-                         tol: Tolerances = DEFAULT) -> list[BoundCheck]:
+def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult,
+                         f: float | None = None,
+                         slack_factor: float = 1e-8) -> list[BoundCheck]:
     """Evaluate the stated accuracy guarantees for one result.
 
+    ``chi_svd`` is the SVD of the matrix ``result`` was selected from.
     Includes singular value interlacing for the final split and the
     algorithm-specific bounds.  ``slack_factor`` scales sigma_1 into an
     absolute tolerance for each inequality.
+
+    For b1, ``b1-residual-upper`` is the stated form ||R22||_2 <=
+    2^(p-k-1) sigma_{k+1}.  At k = p-1 it demands |r_pp| <= sigma_p, but
+    |r_pp| >= sigma_p for every permutation, so no selection meets it
+    beyond the slack (it is unsatisfied on all 64 b1 SVIR analyses in
+    perfbench/golden/svir100.json, k = 3 = p-1).  What b1 guarantees is
+    ``b1-diag-l`` (|r_ll| <= sqrt(l) sigma_l for l = k+1..p) and the
+    ``b1-residual-upper-proof-form`` that follows from it.
     """
-    arr = check_matrix(chi)
-    p = arr.shape[1]
+    sigma = chi_svd.sigma
+    p = sigma.size
     k = result.k
-    sigma = svd(arr, tol).sigma
     slack = slack_factor * float(sigma[0])
     r = result.factors.r
     r11 = r[:k, :k]
@@ -184,7 +194,7 @@ def theorem_bound_checks(chi, result: CssResult, f: float | None = None,
     elif alg == "b3":
         v11_inv = result.extras.get("v11_inv_norm")
         if v11_inv is None:
-            v11_inv = v11_inverse_norm(arr, result.perm, k, tol)
+            v11_inv = v11_inverse_norm(chi_svd, result.perm, k)
         checks.append(_check("b3-v11-inverse-cap", v11_inv, 2.0 ** (k - 1),
                              "le", slack))
         checks.append(_check("b3-sigmak-lower", s_r11[-1], sigma[k - 1] / v11_inv,

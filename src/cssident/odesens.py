@@ -121,11 +121,14 @@ class SensMethod:
         return cls(kind="complex-step", step=step)
 
 
-def svir_rhs(state, params: SvirParams, n_total: float | None = None):
+def svir_rhs(state, params, n_total: float | None = None):
     """Time derivative of (S, V, I, R), exactly as printed.
 
-    ``state`` may be an :class:`SvirState` or a length-4 array (real or
-    complex); arrays are required for complex-step evaluation.
+    ``state`` may be an :class:`SvirState` or an array whose first axis
+    is (S, V, I, R) (real or complex); arrays are required for
+    complex-step evaluation.  ``params`` is an :class:`SvirParams` or an
+    array whose first axis is (beta, nu, alpha, gamma).  Trailing axes of
+    the arrays index independent trajectories and broadcast together.
     """
     if isinstance(state, SvirState):
         x = state.as_array()
@@ -135,7 +138,10 @@ def svir_rhs(state, params: SvirParams, n_total: float | None = None):
         if n_total is None:
             raise InputDomainError("array state needs an explicit n_total")
     s, v, i, r = x
-    beta, nu, alpha, gamma = (params.beta, params.nu, params.alpha, params.gamma)
+    beta, nu, alpha, gamma = (
+        (params.beta, params.nu, params.alpha, params.gamma)
+        if isinstance(params, SvirParams) else params
+    )
     infection_s = beta * i * s / n_total
     infection_v = alpha * beta * i * v / n_total
     return np.array(
@@ -183,25 +189,18 @@ def integrate(rhs, x0, grid: TimeGrid, substeps: int = 100) -> np.ndarray:
     return out
 
 
-def svir_infectious_trajectory(q, ic: SvirState, grid: TimeGrid,
-                               substeps: int = 100) -> np.ndarray:
-    """I(t) over the grid for a parameter vector q (real or complex)."""
-    q = np.asarray(q)
-    dtype = np.result_type(q.dtype, float)
-    beta, nu, alpha, gamma = q
-    n_total = ic.n
+def _infectious_trajectories(qs: np.ndarray, ic: SvirState, grid: TimeGrid,
+                             substeps: int) -> np.ndarray:
+    # I(t) for every column of the 4 x m parameter array qs, integrated as
+    # one flattened 4m state; returns len(grid) x m
+    m = qs.shape[1]
+    x0 = np.repeat(ic.as_array(qs.dtype)[:, None], m, axis=1)
 
     def rhs(_t, x):
-        s, v, i, _r = x
-        inf_s = beta * i * s / n_total
-        inf_v = alpha * beta * i * v / n_total
-        return np.array(
-            [-inf_s, nu * s - inf_v, inf_s + inf_v - gamma * i, gamma * i],
-            dtype=dtype,
-        )
+        return svir_rhs(x.reshape(4, m), qs, ic.n).ravel()
 
-    traj = integrate(rhs, ic.as_array(dtype), grid, substeps)
-    return traj[:, 2]
+    traj = integrate(rhs, x0.ravel(), grid, substeps)
+    return traj.reshape(-1, 4, m)[:, 2, :]
 
 
 def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
@@ -219,27 +218,19 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
     if len(grid) < 4:
         raise InputDomainError("sensitivity grid needs at least 4 observations")
     q0 = params.as_array()
-    n = len(grid)
-    sens = np.empty((n, 4))
     if method.kind == "central-fd":
-        for j in range(4):
-            h = method.step * max(abs(q0[j]), 1e-8)
-            qp = q0.copy()
-            qp[j] += h
-            qm = q0.copy()
-            qm[j] -= h
-            fp = svir_infectious_trajectory(qp, ic, grid, substeps)
-            fm = svir_infectious_trajectory(qm, ic, grid, substeps)
-            sens[:, j] = (fp - fm) / (2.0 * h)
-    else:
-        h = method.step
-        for j in range(4):
-            qc = q0.astype(complex)
-            qc[j] += 1j * h
-            sens[:, j] = np.imag(
-                svir_infectious_trajectory(qc, ic, grid, substeps)
-            ) / h
-    return sens
+        # columns q0 + h_j e_j and q0 - h_j e_j, interleaved per parameter
+        h = method.step * np.maximum(np.abs(q0), 1e-8)
+        j = np.arange(4)
+        qs = np.repeat(q0[:, None], 8, axis=1)
+        qs[j, 2 * j] += h
+        qs[j, 2 * j + 1] -= h
+        f = _infectious_trajectories(qs, ic, grid, substeps)
+        return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)
+    h = method.step
+    qs = np.repeat(q0.astype(complex)[:, None], 4, axis=1)
+    qs[np.diag_indices(4)] += 1j * h
+    return np.imag(_infectious_trajectories(qs, ic, grid, substeps)) / h
 
 
 def population_defect(params: SvirParams, ic: SvirState, grid: TimeGrid,

@@ -457,7 +457,7 @@ def test_c09_svir_pipeline():
     metrics_ok = True
     detail = []
     for fn in (css_b1, css_b4, css_b3, css_srrqr):
-        rec = compute_metrics(chi, fn(chi, 3))
+        rec = compute_metrics(chi, svd(chi), fn(chi, 3))
         metrics_ok &= 0.8 <= rec.gamma1 <= 1.0 + GAMMA_EPS
         metrics_ok &= 1.0 - GAMMA_EPS <= rec.gamma2 <= 1.3
         detail.append(f"{rec.algorithm}: g1={rec.gamma1:.4f} g2={rec.gamma2:.4f}")

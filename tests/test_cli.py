@@ -1,10 +1,16 @@
+import importlib
 import json
+import pkgutil
 
 import jsonschema
 import numpy as np
 import pytest
 
+import cssident
+from cssident import ALGORITHMS, SpectrumSpec, gen_ships, linalg
+from cssident.bench import ExperimentSpec, realize, run_experiment
 from cssident.cli import load_schema, main
+from cssident.generators import FAMILIES
 from cssident.matio import read_matrix, write_csv
 
 
@@ -92,6 +98,112 @@ class TestGenerate:
                        "--p", "10", "--output", str(tmp_path / "s.csv")) == 2
         assert run_cli("generate", "--family", "sorensen_embree", "--n", "20",
                        "--k", "3", "--output", str(tmp_path / "s.csv")) == 2
+
+
+class TestGenerateMatchesRealize:
+    """``generate`` writes what ``realize`` draws from the sidecar's params."""
+
+    FLAGS = {
+        "kahan": ("--n", "12", "--zeta", "0.93"),
+        "gu_eisenstat": ("--n", "12", "--zeta", "0.93"),
+        "jolliffe": ("--n", "30", "--p", "10", "--k", "2", "--spacing", "logspace"),
+        "sorensen_embree": ("--n", "30", "--p", "12", "--k", "4"),
+        "ships": ("--n", "30", "--p", "12", "--k", "4", "--leading", "10", "20"),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matrix_is_realize_of_sidecar_params(self, tmp_path, family):
+        out = tmp_path / "m.csv"
+        assert run_cli("generate", "--family", family, *self.FLAGS[family],
+                       "--seed", "4", "--output", str(out)) == 0
+        sidecar = json.loads((tmp_path / "m.csv.json").read_text())
+        expected = tmp_path / "expected.csv"
+        write_csv(realize({"family": family, **sidecar["params"]}, 4), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("family, argv, message", [
+        ("kahan", ("--n", "8"), "kahan requires --zeta"),
+        ("gu_eisenstat", ("--n", "8"), "gu_eisenstat requires --zeta"),
+        ("jolliffe", ("--n", "20", "--k", "2"), "jolliffe requires --p and --k"),
+        ("sorensen_embree", ("--n", "20", "--k", "3"),
+         "sorensen_embree requires --p and --k"),
+        ("ships", ("--n", "20", "--p", "10"), "ships requires --p and --k"),
+    ])
+    def test_missing_flag_exits_2(self, tmp_path, capsys, family, argv, message):
+        assert run_cli("generate", "--family", family, *argv,
+                       "--output", str(tmp_path / "m.csv")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.fixture
+def svd_input_shapes(monkeypatch):
+    """Shapes of every matrix passed to ``cssident.linalg.svd``, through
+    any module of the package that binds it."""
+    original = linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    modules = [cssident] + [
+        importlib.import_module(f"cssident.{info.name}")
+        for info in pkgutil.iter_modules(cssident.__path__)
+    ]
+    for module in modules:
+        if getattr(module, "svd", None) is original:
+            monkeypatch.setattr(module, "svd", counted)
+    return shapes
+
+
+POLICIES = {"fixed": ("--k-policy", "fixed", "--k", "2"), "gap": ("--k-policy", "gap")}
+
+
+class TestSvdOfChiOnce:
+    """The SVD of chi is computed once per analysis and once per realization."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_analyze(self, tmp_path, svd_input_shapes, algorithm, policy):
+        chi = np.random.default_rng(3).standard_normal((12, 5))
+        path = tmp_path / "chi.csv"
+        write_csv(chi, path)
+        assert run_cli("analyze", "--input", str(path), "--algorithm", algorithm,
+                       *POLICIES[policy], "--output", str(tmp_path / "o.json")) == 0
+        assert svd_input_shapes.count(chi.shape) == 1
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_run_experiment(self, svd_input_shapes, policy):
+        mode = {"mode": policy, "k": 2} if policy == "fixed" else {"mode": policy}
+        spec = ExperimentSpec.from_dict({
+            "generator": {"family": "gaussian", "n": 12, "p": 5},
+            "algorithms": list(ALGORITHMS),
+            "k_policy": mode,
+            "realizations": 3,
+        })
+        report = run_experiment(spec)
+        assert not any(row["error"] for row in report.rows)
+        assert svd_input_shapes.count((12, 5)) == 3
+
+
+class TestScaledInput:
+    """Scaling chi by 2^j changes neither the split nor the exit code."""
+
+    @pytest.mark.parametrize("j", (-600, -64, 64, 600))
+    def test_analyze_same_split(self, tmp_path, j):
+        chi = gen_ships(60, 30, SpectrumSpec(k=8, spacing="logspace"), seed=0)
+        for scale, name in ((0, "base"), (j, "scaled")):
+            write_csv(np.ldexp(chi, scale), tmp_path / f"{name}.csv")
+        for algorithm in ALGORITHMS:
+            splits = []
+            for name in ("base", "scaled"):
+                out = tmp_path / f"{name}-{algorithm}.json"
+                assert run_cli("analyze", "--input", str(tmp_path / f"{name}.csv"),
+                               "--algorithm", algorithm, "--k-policy", "fixed",
+                               "--k", "8", "--output", str(out)) == 0
+                payload = json.loads(out.read_text())
+                splits.append((payload["identifiable"], payload["unidentifiable"]))
+            assert splits[0] == splits[1], algorithm
 
 
 class TestBench:

@@ -150,7 +150,7 @@ class TestCssB3:
     def test_identity_metrics(self):
         a = np.eye(4)
         res = css_b3(a, 2)
-        rec = compute_metrics(a, res)
+        rec = compute_metrics(a, svd(a), res)
         assert rec.gamma1 == pytest.approx(1.0)
         assert rec.gamma2 == pytest.approx(1.0)
 
@@ -181,7 +181,7 @@ class TestCssB3:
         # all four selectors behave nearly identically on this family
         chi = gen_jolliffe(40, 20, block_size=5, seed=77)
         recs = {
-            name: compute_metrics(chi, fn(chi, 4))
+            name: compute_metrics(chi, svd(chi), fn(chi, 4))
             for name, fn in ALL_ALGS.items()
         }
         g1 = [r.gamma1 for r in recs.values()]
@@ -315,20 +315,22 @@ class TestCssSrrqr:
 
 class TestRunCss:
     def test_identity_fixed(self):
-        res = run_css(np.eye(4), "b1", RankPolicy.fixed(2))
+        res = run_css(np.eye(4), svd(np.eye(4)), "b1", RankPolicy.fixed(2))
         assert res.k == 2
 
     def test_gram_demo_matrix_rank_two(self, gram_demo_matrix):
-        res = run_css(gram_demo_matrix, "srrqr", RankPolicy.relative(1e-12))
+        res = run_css(gram_demo_matrix, svd(gram_demo_matrix), "srrqr",
+                      RankPolicy.relative(1e-12))
         assert res.k == 1  # p = 2, so k clamps to p - 1 = 1
         assert set(res.identifiable) | set(res.unidentifiable) == {0, 1}
 
     def test_unknown_algorithm(self):
         with pytest.raises(InputDomainError):
-            run_css(np.eye(3), "b9", RankPolicy.gap())
+            run_css(np.eye(3), svd(np.eye(3)), "b9", RankPolicy.gap())
 
     def test_degenerate_flag_propagates(self):
-        res = run_css(1e-30 * np.eye(3), "b1", RankPolicy.absolute(1.0))
+        a = 1e-30 * np.eye(3)
+        res = run_css(a, svd(a), "b1", RankPolicy.absolute(1.0))
         assert res.degenerate_k
         assert res.k == 1
 

@@ -10,6 +10,7 @@ from cssident import (
     css_b4,
     css_srrqr,
     gram_loss_demo,
+    svd,
     svir_sensitivity,
     theorem_bound_checks,
 )
@@ -18,14 +19,15 @@ from cssident import (
 class TestComputeMetrics:
     def test_identity_all_ones(self):
         a = np.eye(4)
-        rec = compute_metrics(a, css_b1(a, 2))
+        rec = compute_metrics(a, svd(a), css_b1(a, 2))
         assert rec.gamma1 == pytest.approx(1.0)
         assert rec.gamma2 == pytest.approx(1.0)
         assert rec.tau == pytest.approx(1.0)
         assert rec.gamma2_flag == "ok" and rec.tau_flag == "ok"
 
     def test_exactly_deficient_matrix(self, caution_matrix):
-        rec = compute_metrics(caution_matrix, css_b1(caution_matrix, 2))
+        rec = compute_metrics(caution_matrix, svd(caution_matrix),
+                              css_b1(caution_matrix, 2))
         assert rec.gamma2_flag == "exact-deficiency"
         assert rec.gamma2 == 1.0
         assert rec.tau_flag == "undefined"
@@ -47,14 +49,14 @@ class TestComputeMetrics:
             factors=QrFactors(perm=perm, q=fac.q, r=fac.r),
             identifiable=(0, 2), unidentifiable=(1, 3),
         )
-        rec = compute_metrics(caution_matrix, result)
+        rec = compute_metrics(caution_matrix, svd(caution_matrix), result)
         assert rec.gamma2_flag == "infinite"
         assert np.isinf(rec.gamma2)
 
     def test_svir_pipeline_metrics(self):
         chi = svir_sensitivity(NOMINAL_SVIR)
         for fn in (css_b1, css_b4, css_b3, css_srrqr):
-            rec = compute_metrics(chi, fn(chi, 3))
+            rec = compute_metrics(chi, svd(chi), fn(chi, 3))
             assert 0.8 <= rec.gamma1 <= 1.0 + 1e-8
             assert 1.0 - 1e-8 <= rec.gamma2 <= 1.3
 
@@ -64,7 +66,7 @@ class TestComputeMetrics:
         b = rng.standard_normal((8, 5))
         res = css_b1(a, 2)
         with pytest.raises(InputDomainError):
-            compute_metrics(b, res)
+            compute_metrics(b, svd(b), res)
 
     def test_gamma_invariants_seeded(self):
         rng = np.random.default_rng(77)
@@ -74,7 +76,7 @@ class TestComputeMetrics:
             a = rng.standard_normal((n, p))
             k = int(rng.integers(1, p))
             for fn in (css_b1, css_b4, css_b3, css_srrqr):
-                rec = compute_metrics(a, fn(a, k))
+                rec = compute_metrics(a, svd(a), fn(a, k))
                 assert rec.gamma1 <= 1.0 + 1e-8
                 if rec.gamma2_flag == "ok":
                     assert rec.gamma2 >= 1.0 - 1e-8
@@ -84,13 +86,13 @@ class TestBoundChecks:
     def test_identity_all_satisfied(self):
         a = np.eye(4)
         for fn in (css_b1, css_b4, css_b3, css_srrqr):
-            checks = theorem_bound_checks(a, fn(a, 2))
+            checks = theorem_bound_checks(svd(a), fn(a, 2))
             assert all(c.satisfied for c in checks)
 
     def test_srrqr_bounds_reported(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((10, 6))
-        checks = theorem_bound_checks(a, css_srrqr(a, 3))
+        checks = theorem_bound_checks(svd(a), css_srrqr(a, 3))
         names = {c.name for c in checks}
         assert "srrqr-coupling-cap" in names
         assert any(n.startswith("srrqr-sigma-lower") for n in names)

@@ -132,6 +132,42 @@ class TestSvirSensitivity:
                               grid=grid, substeps=40)
         assert np.linalg.norm(cs - fd) <= 1e-6 * np.linalg.norm(cs)
 
+    @staticmethod
+    def _one_trajectory_per_vector(q0, ic, grid, method, substeps):
+        # reference: each perturbed parameter vector integrated on its own
+        def infectious(q):
+            traj = integrate(lambda _t, x: svir_rhs(x, q, ic.n),
+                             ic.as_array(q.dtype), grid, substeps)
+            return traj[:, 2]
+
+        sens = np.empty((len(grid), 4))
+        for j in range(4):
+            if method.kind == "central-fd":
+                h = method.step * max(abs(q0[j]), 1e-8)
+                qp, qm = q0.copy(), q0.copy()
+                qp[j] += h
+                qm[j] -= h
+                sens[:, j] = (infectious(qp) - infectious(qm)) / (2.0 * h)
+            else:
+                qc = q0.astype(complex)
+                qc[j] += 1j * method.step
+                sens[:, j] = np.imag(infectious(qc)) / method.step
+        return sens
+
+    @pytest.mark.parametrize("method", (SensMethod.central_fd(),
+                                        SensMethod.complex_step()))
+    def test_batched_matches_one_trajectory_per_vector(self, method):
+        params = sample_nominal_neighborhood(NOMINAL_SVIR, 0.2, seed=5)
+        ic, grid = default_initial_state(), TimeGrid.days(11)
+        sens = svir_sensitivity(params, ic, grid, method, substeps=40)
+        ref = self._one_trajectory_per_vector(params.as_array(), ic, grid,
+                                              method, 40)
+        if method.kind == "central-fd":
+            np.testing.assert_array_equal(sens, ref)
+        else:
+            # complex products of arrays and of scalars may round differently
+            assert np.max(np.abs(sens - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_gap_policy_selects_three(self):
         sens = svir_sensitivity(NOMINAL_SVIR)
         assert sens.shape == (31, 4)
