@@ -202,7 +202,7 @@ def run_experiment(spec: ExperimentSpec, tol: Tolerances = DEFAULT) -> Aggregate
                 rows.append(_error_row(seed, alg, f"generator: {exc}"))
             continue
         try:
-            chi_svd = linalg.svd(chi, tol)
+            chi_svd = linalg.svd(chi)
         except CssIdentError as exc:
             rows.extend(_error_row(seed, alg, str(exc)) for alg in spec.algorithms)
             continue
@@ -210,7 +210,7 @@ def run_experiment(spec: ExperimentSpec, tol: Tolerances = DEFAULT) -> Aggregate
             t0 = time.perf_counter()
             try:
                 cfg = SrrqrConfig(f=float(spec.f.get(alg, 1.0)))
-                result = run_css(chi, chi_svd, alg, spec.k_policy, cfg, tol)
+                result = run_css(chi, chi_svd, alg, spec.k_policy, cfg)
                 rec = compute_metrics(chi, chi_svd, result, tol)
             except CssIdentError as exc:
                 rows.append(_error_row(seed, alg, str(exc)))

@@ -11,6 +11,7 @@ variables (see config module).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -231,7 +232,9 @@ def cmd_gram_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process; parsing leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="cssident",
         description="Parameter identifiability analysis by column subset "

@@ -57,4 +57,9 @@ DEFAULT = from_env()
 # rank deficiency (covers the sqrt(p) inflation of projector round-off).
 RESIDUAL_DEFICIENCY_FACTOR = 4.0
 
+# Relative slack on srrqr's bound f: a swap is taken only while
+# max rho > f * (1 + SRRQR_TIE_SLACK), and the srrqr-coupling-cap check
+# allows the same slack.
+SRRQR_TIE_SLACK = 1e-12
+
 SCHEMA_VERSION = "1"

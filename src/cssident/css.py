@@ -2,9 +2,13 @@
 
 Each algorithm returns a :class:`CssResult` whose permutation splits the
 input columns into ``identifiable`` (first k) and ``unidentifiable``
-(remaining p - k).  All re-triangularizations are full unpivoted QR
-factorizations of the affected block; permutation steps are single column
-transpositions, with magnitude ties broken to the lowest index.
+(remaining p - k).  Every step is one column exchange (:func:`_exchange`):
+columns a <= b of the working QR factorization are swapped, the block
+``r[a:end, a:end]`` is re-factored by an unpivoted QR with a nonnegative
+diagonal, and the result is applied to ``r[a:end, end:]`` and
+``q[:, a:end]``.  b1 and srrqr restore only the disturbed block (end = b + 1),
+b4 and b3 the whole trailing block (end = p).  Magnitude ties break to the
+lowest index.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .config import DEFAULT, Tolerances
+from .config import SRRQR_TIE_SLACK
 from .errors import InputDomainError, NumericalFailureError
 from .linalg import (
     QrFactors,
@@ -22,7 +26,6 @@ from .linalg import (
     _nonneg_diag,
     _pow2_scale,
     check_matrix,
-    identity_perm,
     qr_col_pivoted,
     qr_unpivoted,
     svd,
@@ -111,20 +114,17 @@ def select_k(sigma, policy: RankPolicy) -> RankSelection:
 
 @dataclass(frozen=True)
 class SrrqrConfig:
-    """Strong-RRQR parameters: bound f >= 1, tie slack, swap budget.
+    """Strong-RRQR parameters: bound f >= 1 and swap budget.
 
     ``max_swaps`` defaults to 4*k*(p-k) when left as None.
     """
 
     f: float = 1.0
-    delta: float = 1e-12
     max_swaps: int | None = None
 
     def __post_init__(self):
         if self.f < 1.0:
             raise InputDomainError("srrqr needs f >= 1")
-        if self.delta < 0.0:
-            raise InputDomainError("delta must be nonnegative")
         if self.max_swaps is not None and self.max_swaps < 1:
             raise InputDomainError("max_swaps must be positive")
 
@@ -160,32 +160,35 @@ def _check_css_input(chi, k: int) -> np.ndarray:
     return arr
 
 
-def _result(algorithm, chi, k, perm, q, r, swap_count=0, degenerate=False, extras=None):
-    factors = QrFactors(perm=perm, q=q, r=np.triu(r))
+def _result(algorithm, k, perm, q, r, swap_count=0, extras=None):
     return CssResult(
         algorithm=algorithm,
         k=k,
-        factors=factors,
+        factors=QrFactors(perm=perm, q=q, r=r),
         identifiable=tuple(int(j) for j in perm[:k]),
         unidentifiable=tuple(int(j) for j in perm[k:]),
         swap_count=swap_count,
-        degenerate_k=degenerate,
         extras=extras or {},
     )
 
 
-def _requal(q, r):
-    # working copies with exact zeros below the diagonal
-    return q.copy(), np.triu(r)
+def _working(fac: QrFactors):
+    # writable copies of frozen factors for the exchange steps
+    return fac.q.copy(), fac.r.copy(), fac.perm.copy()
 
 
-def _transposition(size: int, i: int, j: int) -> np.ndarray:
-    t = np.arange(size)
-    t[[i, j]] = t[[j, i]]
-    return t
+def _exchange(q, r, perm, a: int, b: int, end: int) -> None:
+    # swap columns a <= b < end, re-QR r[a:end, a:end] with a nonnegative
+    # diagonal and apply it to r[a:end, end:] and q[:, a:end]; rows above a
+    # and below end stay triangular, so a[:, perm] == q @ r is kept
+    r[:, [a, b]] = r[:, [b, a]]
+    perm[[a, b]] = perm[[b, a]]
+    qt, r[a:end, a:end] = _nonneg_diag(*np.linalg.qr(r[a:end, a:end]))
+    r[a:end, end:] = qt.T @ r[a:end, end:]
+    q[:, a:end] = q[:, a:end] @ qt
 
 
-def css_b1(chi, k: int, tol: Tolerances = DEFAULT) -> CssResult:
+def css_b1(chi, k: int) -> CssResult:
     """Deflation from the back: repeatedly expose a smallest singular value.
 
     For block sizes l = p down to k+1, the right singular vector of the
@@ -195,35 +198,29 @@ def css_b1(chi, k: int, tol: Tolerances = DEFAULT) -> CssResult:
     |r_ll| <= sqrt(l) * sigma_l.
     """
     arr = _check_css_input(chi, k)
+    q, r, perm = _working(qr_unpivoted(arr))
+    for ell in range(arr.shape[1], k, -1):
+        _, _, vt = np.linalg.svd(r[:ell, :ell])
+        m = int(np.argmax(np.abs(vt[-1])))
+        _exchange(q, r, perm, m, ell - 1, ell)
+    return _result("b1", k, perm, q, r)
+
+
+def _greedy_front(arr, k: int, subspace: bool):
+    # for l = 1..k: take the dominant right singular vector (b4) or the
+    # k-l+1 dominant ones (b3) of the trailing block, swap the column with
+    # the largest norm in them to the front and re-QR the trailing block
     p = arr.shape[1]
-    fac = qr_unpivoted(arr, tol)
-    q, r = _requal(fac.q, fac.r)
-    perm = identity_perm(p)
-    for ell in range(p, k, -1):
-        r11 = r[:ell, :ell]
-        _, _, vt = np.linalg.svd(r11)
-        v = vt[-1]
-        m = int(np.argmax(np.abs(v)))
-        t = _transposition(ell, m, ell - 1)
-        qt, rt = _nonneg_diag(*np.linalg.qr(r11[:, t]))
-        perm[:ell] = perm[:ell][t]
-        r[:ell, :ell] = rt
-        r[:ell, ell:] = qt.T @ r[:ell, ell:]
-        q[:, :ell] = q[:, :ell] @ qt
-    return _result("b1", arr, k, perm, q, r)
+    q, r, perm = _working(qr_unpivoted(arr))
+    for i in range(k):
+        _, _, vt = np.linalg.svd(r[i:, i:])
+        w = vt[: k - i if subspace else 1]
+        m = int(np.argmax(np.linalg.norm(w, axis=0)))
+        _exchange(q, r, perm, i, i + m, p)
+    return q, r, perm
 
 
-def _retriangularize_trailing(q, r, perm, i0: int, t: np.ndarray) -> None:
-    # permute columns i0.. by t (rows of r12 included), re-QR the block
-    p = r.shape[0]
-    cols = np.arange(i0, p)[t]
-    r[:, i0:] = r[:, cols]
-    qt, r[i0:, i0:] = _nonneg_diag(*np.linalg.qr(r[i0:, i0:]))
-    q[:, i0:] = q[:, i0:] @ qt
-    perm[i0:] = perm[i0:][t]
-
-
-def css_b4(chi, k: int, tol: Tolerances = DEFAULT) -> CssResult:
+def css_b4(chi, k: int) -> CssResult:
     """Greedy selection from the front via dominant singular vectors.
 
     For l = 1..k the dominant right singular vector of the trailing block
@@ -232,21 +229,11 @@ def css_b4(chi, k: int, tol: Tolerances = DEFAULT) -> CssResult:
     |r_ll| >= sigma_l / sqrt(p - l + 1).
     """
     arr = _check_css_input(chi, k)
-    p = arr.shape[1]
-    fac = qr_unpivoted(arr, tol)
-    q, r = _requal(fac.q, fac.r)
-    perm = identity_perm(p)
-    for ell in range(1, k + 1):
-        i0 = ell - 1
-        _, _, vt = np.linalg.svd(r[i0:, i0:])
-        m = int(np.argmax(np.abs(vt[0])))
-        t = _transposition(p - i0, m, 0)
-        _retriangularize_trailing(q, r, perm, i0, t)
-    return _result("b4", arr, k, perm, q, r)
+    q, r, perm = _greedy_front(arr, k, subspace=False)
+    return _result("b4", k, perm, q, r)
 
 
-def css_b3(chi, k: int, tol: Tolerances = DEFAULT,
-           chi_svd: SvdFactors | None = None) -> CssResult:
+def css_b3(chi, k: int, chi_svd: SvdFactors | None = None) -> CssResult:
     """Greedy selection by column norms of the dominant right subspace.
 
     For l = 1..k the k-l+1 dominant right singular vectors of the trailing
@@ -257,21 +244,11 @@ def css_b3(chi, k: int, tol: Tolerances = DEFAULT,
     when it is already known, otherwise it is computed here.
     """
     arr = _check_css_input(chi, k)
-    p = arr.shape[1]
-    fac = qr_unpivoted(arr, tol)
-    q, r = _requal(fac.q, fac.r)
-    perm = identity_perm(p)
-    for ell in range(1, k + 1):
-        i0 = ell - 1
-        _, _, vt = np.linalg.svd(r[i0:, i0:])
-        w = vt[: k - ell + 1, :]
-        m = int(np.argmax(np.linalg.norm(w, axis=0)))
-        t = _transposition(p - i0, m, 0)
-        _retriangularize_trailing(q, r, perm, i0, t)
+    q, r, perm = _greedy_front(arr, k, subspace=True)
     if chi_svd is None:
-        chi_svd = svd(arr, tol)
+        chi_svd = svd(arr)
     v11_inv = v11_inverse_norm(chi_svd, perm, k)
-    return _result("b3", arr, k, perm, q, r, extras={"v11_inv_norm": v11_inv})
+    return _result("b3", k, perm, q, r, extras={"v11_inv_norm": v11_inv})
 
 
 def v11_inverse_norm(chi_svd: SvdFactors, perm, k: int) -> float:
@@ -341,28 +318,26 @@ def _rho_matrix(r, k: int) -> np.ndarray:
     return np.sqrt(a * a + np.outer(row_inv_norms, col_norms) ** 2)
 
 
-def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None,
-              tol: Tolerances = DEFAULT) -> CssResult:
+def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None) -> CssResult:
     """Strong rank-revealing QR by pairwise column swaps.
 
     Starting from a column-pivoted QR, columns (i, k+j) with the largest
     determinant growth factor rho_ij are swapped while max rho exceeds
-    f*(1+delta), each swap followed by a full unpivoted re-QR.  Ties go to
-    the lexicographically smallest (i, j).  ``extras`` records convergence,
-    the final max rho and the log-determinant history of the leading block.
+    f*(1 + SRRQR_TIE_SLACK); each swap re-QRs only the disturbed block
+    ``r[i:k+j+1, i:k+j+1]``.  Ties go to the lexicographically smallest
+    (i, j).  ``extras`` records convergence, the final max rho and the
+    log-determinant history of the leading block.
     """
     cfg = cfg or SrrqrConfig()
     arr = _check_css_input(chi, k)
     p = arr.shape[1]
-    fac = qr_col_pivoted(arr, tol)
-    q, r = _requal(fac.q, fac.r)
-    perm = fac.perm.copy()
+    q, r, perm = _working(qr_col_pivoted(arr))
     if np.any(np.diag(r)[:k] == 0.0):
         raise NumericalFailureError(
             "initial pivoted QR has a singular leading block; reduce k"
         )
     budget = cfg.swap_budget(k, p)
-    threshold = cfg.f * (1.0 + cfg.delta)
+    threshold = cfg.f * (1.0 + SRRQR_TIE_SLACK)
     logdet_history = [float(np.sum(np.log(np.diag(r)[:k])))]
     swaps = 0
     while True:
@@ -371,10 +346,8 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None,
         if max_rho <= threshold or swaps >= budget:
             break
         i, j = np.unravel_index(int(np.argmax(rho)), rho.shape)
-        t = _transposition(p, int(i), k + int(j))
-        qt, r = _nonneg_diag(*np.linalg.qr(r[:, t]))
-        q = q @ qt
-        perm = perm[t]
+        b = k + int(j)
+        _exchange(q, r, perm, int(i), b, b + 1)
         swaps += 1
         logdet_history.append(float(np.sum(np.log(np.diag(r)[:k]))))
     extras = {
@@ -383,12 +356,11 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None,
         "f": cfg.f,
         "logdet_history": logdet_history,
     }
-    return _result("srrqr", arr, k, perm, q, r, swap_count=swaps, extras=extras)
+    return _result("srrqr", k, perm, q, r, swap_count=swaps, extras=extras)
 
 
 def run_css(chi, chi_svd: SvdFactors, algorithm: str, policy: RankPolicy,
-            cfg: SrrqrConfig | None = None,
-            tol: Tolerances = DEFAULT) -> CssResult:
+            cfg: SrrqrConfig | None = None) -> CssResult:
     """Select k by ``policy`` and run the requested algorithm.
 
     ``chi_svd`` is ``svd(chi)``; ``algorithm`` is one of 'b1', 'b4',
@@ -400,11 +372,11 @@ def run_css(chi, chi_svd: SvdFactors, algorithm: str, policy: RankPolicy,
         raise InputDomainError(f"unknown algorithm {algorithm!r}")
     k, degenerate = select_k(chi_svd.sigma, policy)
     if name == "b1":
-        result = css_b1(arr, k, tol)
+        result = css_b1(arr, k)
     elif name == "b4":
-        result = css_b4(arr, k, tol)
+        result = css_b4(arr, k)
     elif name == "b3":
-        result = css_b3(arr, k, tol, chi_svd)
+        result = css_b3(arr, k, chi_svd)
     else:
-        result = css_srrqr(arr, k, cfg, tol)
+        result = css_srrqr(arr, k, cfg)
     return replace(result, degenerate_k=True) if degenerate else result

@@ -70,9 +70,14 @@ class QrFactors:
         return self.r.shape[0]
 
     def reconstruction_error(self, a: np.ndarray) -> float:
-        """Relative Frobenius residual ||a*P - q*r||_F / ||a||_F."""
-        num = float(np.linalg.norm(a[:, self.perm] - self.q @ self.r))
-        den = float(np.linalg.norm(a))
+        """Relative Frobenius residual ||a*P - q*r||_F / ||a||_F.
+
+        Both norms are taken of copies scaled by the same exact power of
+        two, so their squares cannot over- or underflow.
+        """
+        scale = _pow2_scale(a)
+        num = float(np.linalg.norm((a[:, self.perm] - self.q @ self.r) * scale))
+        den = float(np.linalg.norm(a * scale))
         return num / den if den > 0 else num
 
     def validate(self, a: np.ndarray, tol: Tolerances = DEFAULT) -> None:
@@ -115,7 +120,7 @@ def _pow2_scale(a: np.ndarray) -> float:
     return float(np.ldexp(1.0, -np.frexp(np.max(np.abs(a)))[1]))
 
 
-def qr_unpivoted(a, tol: Tolerances = DEFAULT) -> QrFactors:
+def qr_unpivoted(a) -> QrFactors:
     """Thin Householder QR with identity permutation.
 
     Requires rows >= cols.  The triangular factor has a nonnegative
@@ -128,7 +133,7 @@ def qr_unpivoted(a, tol: Tolerances = DEFAULT) -> QrFactors:
     return QrFactors(perm=identity_perm(arr.shape[1]), q=q, r=r)
 
 
-def qr_col_pivoted(a, tol: Tolerances = DEFAULT) -> QrFactors:
+def qr_col_pivoted(a) -> QrFactors:
     """Householder QR with classical greedy max-column-norm pivoting.
 
     At each step the pivot is the remaining column with the largest
@@ -171,7 +176,7 @@ def qr_col_pivoted(a, tol: Tolerances = DEFAULT) -> QrFactors:
     return QrFactors(perm=perm, q=q, r=r)
 
 
-def svd(a, tol: Tolerances = DEFAULT) -> SvdFactors:
+def svd(a) -> SvdFactors:
     """Thin SVD computed through a preliminary QR.
 
     The input is first reduced by an unpivoted QR, then the p x p
@@ -180,7 +185,7 @@ def svd(a, tol: Tolerances = DEFAULT) -> SvdFactors:
     """
     arr = check_matrix(a)
     _require_tall(arr, "svd")
-    fac = qr_unpivoted(arr, tol)
+    fac = qr_unpivoted(arr)
     try:
         ur, sigma, vt = np.linalg.svd(fac.r)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
@@ -190,16 +195,16 @@ def svd(a, tol: Tolerances = DEFAULT) -> SvdFactors:
     return SvdFactors(u=fac.q @ ur, sigma=sigma, v=vt.T)
 
 
-def singular_values(a, tol: Tolerances = DEFAULT) -> np.ndarray:
+def singular_values(a) -> np.ndarray:
     """Singular values of ``a`` in descending order (QR-first route)."""
-    return svd(a, tol).sigma
+    return svd(a).sigma
 
 
 def orthonormal_range(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Orthonormal basis of range(a), truncated at the rank cutoff."""
     arr = check_matrix(a)
     if arr.shape[0] >= arr.shape[1]:
-        fac = svd(arr, tol)
+        fac = svd(arr)
         u, sigma = fac.u, fac.sigma
     else:
         u, sigma, _ = np.linalg.svd(arr, full_matrices=False)
@@ -232,7 +237,7 @@ def condition_number(a, tol: Tolerances = DEFAULT) -> float:
     """2-norm condition number sigma_1/sigma_p, inf past the rank cutoff."""
     arr = check_matrix(a)
     _require_tall(arr, "condition_number")
-    sigma = singular_values(arr, tol)
+    sigma = singular_values(arr)
     if sigma[0] == 0.0:
         return float("inf")
     cutoff = tol.rank_cutoff(max(arr.shape), float(sigma[0]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 import scipy.linalg as sla
 
-from .config import DEFAULT, RESIDUAL_DEFICIENCY_FACTOR, Tolerances
+from .config import DEFAULT, RESIDUAL_DEFICIENCY_FACTOR, SRRQR_TIE_SLACK, Tolerances
 from .css import CssResult, v11_inverse_norm
 from .errors import InputDomainError
 from .linalg import SvdFactors, check_matrix, residual_norm, svd
@@ -216,9 +216,8 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult,
             ))
         coupling = sla.solve_triangular(r11, r[:k, k:]) if p > k else np.zeros((k, 0))
         max_entry = float(np.max(np.abs(coupling))) if coupling.size else 0.0
-        delta = 1e-12
         checks.append(_check("srrqr-coupling-cap", max_entry,
-                             fval * (1.0 + delta), "le", 1e-9 * fval))
+                             fval * (1.0 + SRRQR_TIE_SLACK), "le", 1e-9 * fval))
     return checks
 
 

@@ -68,6 +68,16 @@ class TestComputeMetrics:
         with pytest.raises(InputDomainError):
             compute_metrics(b, svd(b), res)
 
+    def test_mismatched_input_rejected_at_large_scale(self):
+        # squaring entries of size 2^600 overflows; the check must still see
+        # that the factors belong to another matrix
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((20, 6)) * 2.0 ** 600
+        b = rng.standard_normal((20, 6)) * 2.0 ** 600
+        res = css_b1(a, 3)
+        with pytest.raises(InputDomainError):
+            compute_metrics(b, svd(b), res)
+
     def test_gamma_invariants_seeded(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
