@@ -92,6 +92,7 @@ def cmd_analyze(args) -> int:
              "rhs": c.rhs, "sense": c.sense, "slack": c.slack}
             for c in checks
         ],
+        "extras": result.extras,
     }
     _write_json(payload, args.output)
     return EXIT_OK

@@ -9,6 +9,13 @@ diagonal, and the result is applied to ``r[a:end, end:]`` and
 ``q[:, a:end]``.  b1 and srrqr restore only the disturbed block (end = b + 1),
 b4 and b3 the whole trailing block (end = p).  Magnitude ties break to the
 lowest index.
+
+b1 picks each column from the smallest right singular vector of the
+leading block R11.  A block inverse iteration with triangular solves
+estimates it, and the exact SVD of R11 decides every step whose pick the
+iteration cannot certify, so the picks, and hence the factors, are those of
+an SVD at every step (see :func:`css_b1`).  b4 and b3 take an SVD of the
+trailing block at every step.
 """
 from __future__ import annotations
 
@@ -188,22 +195,122 @@ def _exchange(q, r, perm, a: int, b: int, end: int) -> None:
     q[:, a:end] = q[:, a:end] @ qt
 
 
+# b1's inverse iteration (see css_b1): vectors per block, sweeps before the
+# exact SVD decides, largest block that goes straight to the SVD, and the
+# factor by which the argmax margin must exceed the error bound
+_B1_BLOCK = 4
+_B1_MAX_SWEEPS = 16
+_B1_SMALL = 12
+_B1_SAFETY = 8.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _b1_certified_argmax(block, start):
+    # block inverse iteration on M = R^{-1} R^{-T} (eigenvalues 1/sigma^2)
+    # for the scaled upper triangular block R, started from the columns of
+    # start; returns (m, Ritz vectors, sweeps), or (None, None, sweeps) when
+    # the pick is not certified
+    maxcol = float(np.sqrt(np.max(np.einsum("ij,ij->j", block, block))))
+    x = np.linalg.qr(start)[0]
+    for sweep in range(1, _B1_MAX_SWEEPS + 1):
+        y = sla.solve_triangular(block, x, trans="T", check_finite=False)
+        if not np.all(np.isfinite(y)):
+            return None, None, sweep
+        # Ritz pairs of M on span(x): theta_i = s_i^2, vectors x w_i
+        u, s, wt = np.linalg.svd(y, full_matrices=False)
+        ritz = x @ wt.T
+        z = sla.solve_triangular(block, u, check_finite=False)
+        if not np.all(np.isfinite(z)):
+            return None, None, sweep
+        # M ritz_i = s_i z_i, so residual_i / theta_1 is s_i |z_i - s_i ritz_i| / s_1^2
+        s1, s2 = float(s[0]), float(s[1])
+        ratio = s2 / s1
+        res1 = float(np.linalg.norm(z[:, 0] - s1 * ritz[:, 0])) / s1
+        res2 = ratio * float(np.linalg.norm(z[:, 1] - s2 * ritz[:, 1])) / s1
+        mag = np.abs(ritz[:, 0])
+        m = int(np.argmax(mag))
+        margin = float(mag[m] - np.partition(mag, -2)[-2])
+        # the exact SVD's own error, eps ||R|| / (sigma_{l-1} - sigma_l)
+        floor = _EPS * maxcol * s2 / (1.0 - ratio) if ratio < 1.0 else float("inf")
+        gap = 1.0 - ratio * ratio - res2
+        # the start block alone decides nothing
+        if sweep > 1:
+            target = margin / _B1_SAFETY - floor
+            if target <= 0:
+                return None, None, sweep
+            if gap > 0:
+                error = res1 / gap
+                if error < target:
+                    return m, ritz, sweep
+                # the error shrinks by about theta_s / theta_1 per sweep
+                rate = (float(s[-1]) / s1) ** 2
+                if error * rate ** (_B1_MAX_SWEEPS - sweep) >= target:
+                    return None, None, sweep
+        x = np.linalg.qr(z)[0]
+    return None, None, _B1_MAX_SWEEPS
+
+
 def css_b1(chi, k: int) -> CssResult:
     """Deflation from the back: repeatedly expose a smallest singular value.
 
-    For block sizes l = p down to k+1, the right singular vector of the
-    leading l x l block for its smallest singular value is computed, its
-    magnitude-largest entry is swapped to position l, and the block is
+    For block sizes l = p down to k+1, the magnitude-largest entry of the
+    right singular vector of the leading l x l block R11 for its smallest
+    singular value is swapped to position l, and the block is
     re-triangularized.  The trailing diagonal entries then satisfy
     |r_ll| <= sqrt(l) * sigma_l.
+
+    Only that entry's position m is needed.  For l > 12 it is estimated by
+    a block inverse iteration with 4 vectors on M = R11^{-1} R11^{-T}
+    (eigenvalues theta = 1/sigma^2), which applies triangular solves only,
+    starts from the previous step's Ritz vectors and runs on R scaled by a
+    power of two.  Each sweep takes the Ritz pairs from the SVD of the thin
+    matrix R11^{-T} X.  From the second sweep on, m is accepted when the
+    gap between the two largest entries of the first Ritz vector exceeds 8
+    times the sum of the iteration's error bound res_1 / (theta_1 - theta_2
+    - res_2) and the exact SVD's own error eps ||R11|| / (sigma_{l-1} -
+    sigma_l).  Otherwise the SVD of R11 decides: at once when that SVD
+    error alone rules out a certificate or when the error bound, shrinking
+    by theta_4 / theta_1 per sweep, would not get there within 16 sweeps;
+    also for blocks of 12 or fewer columns, a zero diagonal entry or
+    non-finite solves.  After f >= 2 uncertified steps in a row the SVD
+    also decides the next 2^(f-2) - 1 steps, which bounds the work spent
+    where a spectrum stays clustered.  Both routes pick the same m on
+    certified steps and the exchange is the same, so the factors do not
+    depend on which route ran.  ``extras`` counts the steps the SVD decided
+    (``svd_fallbacks``) and the sweeps run (``solve_sweeps``).
     """
     arr = _check_css_input(chi, k)
     q, r, perm = _working(qr_unpivoted(arr))
-    for ell in range(arr.shape[1], k, -1):
-        _, _, vt = np.linalg.svd(r[:ell, :ell])
-        m = int(np.argmax(np.abs(vt[-1])))
+    p = arr.shape[1]
+    if p > _B1_SMALL:
+        scale = _pow2_scale(r)
+        # fixed start vectors, so that reruns take the same route
+        start = np.random.default_rng(0).standard_normal((p, _B1_BLOCK))
+        fresh = start[:, 0]
+    fallbacks = sweeps = 0
+    failed = skip = 0  # uncertified steps in a row; steps left to skip
+    for ell in range(p, k, -1):
+        m = None
+        if skip:
+            skip -= 1
+        elif ell > _B1_SMALL and np.all(np.diag(r)[:ell] != 0.0):
+            m, ritz, used = _b1_certified_argmax(r[:ell, :ell] * scale, start)
+            sweeps += used
+            failed = 0 if m is not None else failed + 1
+            skip = 2 ** (failed - 2) - 1 if failed >= 2 else 0
+        if m is None:
+            fallbacks += 1
+            _, _, vt = np.linalg.svd(r[:ell, :ell])
+            m = int(np.argmax(np.abs(vt[-1])))
+            ritz = vt[: -_B1_BLOCK - 1: -1].T
         _exchange(q, r, perm, m, ell - 1, ell)
-    return _result("b1", k, perm, q, r)
+        if ell - 1 > _B1_SMALL:
+            # the exchange moves column ell-1 to m and drops the old column m
+            start = ritz[:, 1:].copy()
+            start[m] = start[ell - 1]
+            start = np.column_stack([start[: ell - 1], fresh[: ell - 1]])
+    extras = {"svd_fallbacks": fallbacks, "solve_sweeps": sweeps}
+    return _result("b1", k, perm, q, r, extras=extras)
 
 
 def _greedy_front(arr, k: int, subspace: bool):

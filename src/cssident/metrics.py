@@ -14,6 +14,7 @@ by an explicit flag instead of a silent NaN:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -22,7 +23,7 @@ import scipy.linalg as sla
 from .config import DEFAULT, RESIDUAL_DEFICIENCY_FACTOR, SRRQR_TIE_SLACK, Tolerances
 from .css import CssResult, v11_inverse_norm
 from .errors import InputDomainError
-from .linalg import SvdFactors, check_matrix, residual_norm, svd
+from .linalg import SvdFactors, _pow2_scale, check_matrix, residual_norm, svd
 
 
 @dataclass(frozen=True)
@@ -122,13 +123,16 @@ class BoundCheck:
     slack: float
 
 
-def _check(name, lhs, rhs, sense, slack) -> BoundCheck:
+def _check(name, lhs, rhs, sense, slack, scale=1.0) -> BoundCheck:
+    # decided on values scaled by the exact power of two ``scale`` and
+    # reported in input units; Python floats overflow to inf silently
     if sense == "le":
         ok = lhs <= rhs + slack
     else:
         ok = lhs >= rhs - slack
-    return BoundCheck(name=name, satisfied=bool(ok), lhs=float(lhs),
-                      rhs=float(rhs), sense=sense, slack=float(slack))
+    return BoundCheck(name=name, satisfied=bool(ok), lhs=float(lhs) / scale,
+                      rhs=float(rhs) / scale, sense=sense,
+                      slack=float(slack) / scale)
 
 
 def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult,
@@ -141,6 +145,11 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult,
     algorithm-specific bounds.  ``slack_factor`` scales sigma_1 into an
     absolute tolerance for each inequality.
 
+    Each inequality is decided on sigma and R scaled by the exact power of
+    two that brings sigma_1 into [0.5, 1), so no bound over- or underflows;
+    lhs, rhs and slack are reported in input units, as inf where the value
+    exceeds the double range.
+
     For b1, ``b1-residual-upper`` is the stated form ||R22||_2 <=
     2^(p-k-1) sigma_{k+1}.  At k = p-1 it demands |r_pp| <= sigma_p, but
     |r_pp| >= sigma_p for every permutation, so no selection meets it
@@ -149,70 +158,67 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult,
     ``b1-diag-l`` (|r_ll| <= sqrt(l) sigma_l for l = k+1..p) and the
     ``b1-residual-upper-proof-form`` that follows from it.
     """
-    sigma = chi_svd.sigma
-    p = sigma.size
+    scale = _pow2_scale(chi_svd.sigma)
+    sigma = (chi_svd.sigma * scale).tolist()
+    p = len(sigma)
     k = result.k
-    slack = slack_factor * float(sigma[0])
-    r = result.factors.r
+    slack = slack_factor * sigma[0]
+    r = result.factors.r * scale
     r11 = r[:k, :k]
     r22 = r[k:, k:]
-    s_r11 = np.linalg.svd(r11, compute_uv=False)
-    s_r22 = np.linalg.svd(r22, compute_uv=False)
+    s_r11 = np.linalg.svd(r11, compute_uv=False).tolist()
+    s_r22 = np.linalg.svd(r22, compute_uv=False).tolist()
+
+    def check(name, lhs, rhs, sense):
+        return _check(name, lhs, rhs, sense, slack, scale)
+
     checks = []
     for j in range(k):
-        checks.append(_check(f"interlacing-r11-{j + 1}", s_r11[j], sigma[j],
-                             "le", slack))
+        checks.append(check(f"interlacing-r11-{j + 1}", s_r11[j], sigma[j], "le"))
     for j in range(p - k):
-        checks.append(_check(f"interlacing-r22-{j + 1}", s_r22[j], sigma[k + j],
-                             "ge", slack))
+        checks.append(check(f"interlacing-r22-{j + 1}", s_r22[j], sigma[k + j], "ge"))
 
     alg = result.algorithm
     if alg == "b1":
-        checks.append(_check(
-            "b1-residual-upper", s_r22[0],
-            2.0 ** (p - k - 1) * sigma[k], "le", slack,
+        checks.append(check(
+            "b1-residual-upper", s_r22[0], 2.0 ** (p - k - 1) * sigma[k], "le",
         ))
-        checks.append(_check(
+        checks.append(check(
             "b1-residual-upper-proof-form", s_r22[0],
-            np.sqrt(p * (p - k)) * 2.0 ** (p - k - 1) * sigma[k], "le", slack,
+            math.sqrt(p * (p - k)) * 2.0 ** (p - k - 1) * sigma[k], "le",
         ))
         for ell in range(k + 1, p + 1):
-            checks.append(_check(
-                f"b1-diag-{ell}", abs(r[ell - 1, ell - 1]),
-                np.sqrt(ell) * sigma[ell - 1], "le", slack,
+            checks.append(check(
+                f"b1-diag-{ell}", abs(float(r[ell - 1, ell - 1])),
+                math.sqrt(ell) * sigma[ell - 1], "le",
             ))
     elif alg == "b4":
-        checks.append(_check(
-            "b4-sigmak-lower", s_r11[-1], 2.0 ** (1 - k) * sigma[k - 1],
-            "ge", slack,
+        checks.append(check(
+            "b4-sigmak-lower", s_r11[-1], 2.0 ** (1 - k) * sigma[k - 1], "ge",
         ))
         for ell in range(1, k + 1):
-            checks.append(_check(
-                f"b4-diag-{ell}", abs(r[ell - 1, ell - 1]),
-                sigma[ell - 1] / np.sqrt(p - ell + 1), "ge", slack,
+            checks.append(check(
+                f"b4-diag-{ell}", abs(float(r[ell - 1, ell - 1])),
+                sigma[ell - 1] / math.sqrt(p - ell + 1), "ge",
             ))
     elif alg == "b3":
         v11_inv = result.extras.get("v11_inv_norm")
         if v11_inv is None:
             v11_inv = v11_inverse_norm(chi_svd, result.perm, k)
         checks.append(_check("b3-v11-inverse-cap", v11_inv, 2.0 ** (k - 1),
-                             "le", slack))
-        checks.append(_check("b3-sigmak-lower", s_r11[-1], sigma[k - 1] / v11_inv,
-                             "ge", slack))
-        checks.append(_check("b3-residual-upper", s_r22[0], v11_inv * sigma[k],
-                             "le", slack))
+                             "le", slack / scale))
+        checks.append(check("b3-sigmak-lower", s_r11[-1], sigma[k - 1] / v11_inv, "ge"))
+        checks.append(check("b3-residual-upper", s_r22[0], v11_inv * sigma[k], "le"))
     elif alg == "srrqr":
         fval = f if f is not None else result.extras.get("f", 1.0)
-        factor = np.sqrt(1.0 + fval * fval * k * (p - k))
+        factor = math.sqrt(1.0 + fval * fval * k * (p - k))
         for i in range(k):
-            checks.append(_check(
-                f"srrqr-sigma-lower-{i + 1}", s_r11[i], sigma[i] / factor,
-                "ge", slack,
+            checks.append(check(
+                f"srrqr-sigma-lower-{i + 1}", s_r11[i], sigma[i] / factor, "ge",
             ))
         for j in range(p - k):
-            checks.append(_check(
-                f"srrqr-sigma-upper-{j + 1}", s_r22[j], sigma[k + j] * factor,
-                "le", slack,
+            checks.append(check(
+                f"srrqr-sigma-upper-{j + 1}", s_r22[j], sigma[k + j] * factor, "le",
             ))
         coupling = sla.solve_triangular(r11, r[:k, k:]) if p > k else np.zeros((k, 0))
         max_entry = float(np.max(np.abs(coupling))) if coupling.size else 0.0

@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+import warnings
 
 import jsonschema
 import numpy as np
@@ -49,6 +50,22 @@ class TestAnalyze:
         # numerical rank 2 on a 2-column matrix: k clamps to p - 1 = 1
         assert payload["k"] == 1
         assert not payload["degenerate_k"]
+
+    @pytest.mark.parametrize("algorithm, keys", (
+        ("b1", {"svd_fallbacks", "solve_sweeps"}),
+        ("b4", set()),
+        ("b3", {"v11_inv_norm"}),
+        ("srrqr", {"converged", "max_rho", "f", "logdet_history"}),
+    ))
+    def test_extras_reported(self, tmp_path, algorithm, keys):
+        path = tmp_path / "chi.csv"
+        write_csv(gen_ships(60, 30, SpectrumSpec(k=8, spacing="logspace"), seed=0), path)
+        out = tmp_path / "out.json"
+        assert run_cli("analyze", "--input", str(path), "--algorithm", algorithm,
+                       "--k-policy", "fixed", "--k", "8", "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, load_schema("analyze_output.schema.json"))
+        assert set(payload["extras"]) == keys
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("analyze", "--input", str(tmp_path / "nope.csv"),
@@ -204,6 +221,38 @@ class TestScaledInput:
                 payload = json.loads(out.read_text())
                 splits.append((payload["identifiable"], payload["unidentifiable"]))
             assert splits[0] == splits[1], algorithm
+
+
+class TestBoundChecksAtLargeScale:
+    """Bound checks near the top of the double range: no overflow warning,
+    the flags of the unscaled input, values in input units or inf."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_analyze_without_overflow(self, tmp_path, algorithm):
+        chi = gen_ships(60, 30, SpectrumSpec(k=8, spacing="logspace"), seed=0)
+        # max|chi| in [2^1003, 2^1004), where b1's proof-form bound
+        # sqrt(p(p-k)) 2^(p-k-1) sigma_{k+1} exceeds the double range
+        j = 1004 - int(np.frexp(np.max(np.abs(chi)))[1])
+        payloads = []
+        for scale, name in ((0, "base"), (j, "scaled")):
+            write_csv(np.ldexp(chi, scale), tmp_path / f"{name}.csv")
+            out = tmp_path / f"{name}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert run_cli("analyze", "--input", str(tmp_path / f"{name}.csv"),
+                               "--algorithm", algorithm, "--k-policy", "fixed",
+                               "--k", "8", "--output", str(out)) == 0
+            payloads.append(json.loads(out.read_text()))
+        base, scaled = payloads
+        assert scaled["identifiable"] == base["identifiable"]
+        factor = 2.0 ** j
+        for b, c in zip(base["bound_checks"], scaled["bound_checks"], strict=True):
+            assert c["satisfied"] == b["satisfied"], c["name"]
+            unitless = c["name"] in ("b3-v11-inverse-cap", "srrqr-coupling-cap")
+            for side in ("lhs", "rhs"):
+                want = float(b[side]) * (1.0 if unitless else factor)
+                assert float(c[side]) == pytest.approx(want, rel=1e-10), (c["name"], side)
+        assert any(c["rhs"] == "inf" for c in scaled["bound_checks"]) == (algorithm == "b1")
 
 
 class TestBench:

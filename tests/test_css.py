@@ -21,6 +21,8 @@ from cssident import (
     srrqr_rho,
     svd,
 )
+from cssident.bench import realize
+from cssident.css import _exchange, _working
 from cssident.metrics import compute_metrics
 
 
@@ -112,6 +114,81 @@ class TestCssB1:
                 lhs = np.linalg.norm(res.factors.r[k:, k:], 2)
                 rhs = np.sqrt(10 * (10 - k)) * 2.0 ** (10 - k - 1) * sigma[k]
                 assert lhs <= rhs + 1e-8 * sigma[0]
+
+
+def _reference_b1(chi, k):
+    # b1 with every pick taken from the full SVD of the leading block
+    q, r, perm = _working(qr_unpivoted(chi))
+    for ell in range(chi.shape[1], k, -1):
+        _, _, vt = np.linalg.svd(r[:ell, :ell])
+        m = int(np.argmax(np.abs(vt[-1])))
+        _exchange(q, r, perm, m, ell - 1, ell)
+    return perm, q, r
+
+
+def _ships(n, p, k, seed):
+    return realize({"family": "ships", "n": n, "p": p, "spectrum": {"k": k}}, seed)
+
+
+def _near_tie_matrix(n=30, p=20):
+    # the smallest right singular vector is (e_3 - e_7) / sqrt(2): its two
+    # largest entries tie, so only the exact SVD can say which one it picks
+    rng = np.random.default_rng(5)
+    w = np.zeros(p)
+    w[3], w[7] = 1.0, -1.0
+    v, _ = np.linalg.qr(np.column_stack([w, rng.standard_normal((p, p - 1))]))
+    v = np.roll(v, -1, axis=1)  # w becomes the last right singular vector
+    u, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    return u @ np.diag(np.logspace(0, -1, p)) @ v.T
+
+
+B1_ITERATION_CASES = {
+    **{f"ships200-{seed}": (lambda seed=seed: _ships(200, 100, 20, seed), 20)
+       for seed in range(4)},
+    # at l = 196, sigma_{l-1} / sigma_l = 1.010 with cond(R11) = 5.1e12
+    "ships400-10": (lambda: _ships(400, 200, 40, 10), 40),
+    "kahan-0.9": (lambda: gen_kahan(100, 0.9), 50),
+    "kahan-0.99999": (lambda: gen_kahan(100, 0.99999), 50),
+    "gu-eisenstat": (lambda: gen_gu_eisenstat(100, 0.99), 50),
+    "gaussian-300x150": (lambda: np.random.default_rng(7).standard_normal((300, 150)), 30),
+}
+
+
+class TestCssB1InverseIteration:
+    """Picks certified by the inverse iteration match the exact SVD's."""
+
+    @pytest.mark.parametrize("case", B1_ITERATION_CASES)
+    def test_bit_identical_to_exact_svd_picks(self, case):
+        make, k = B1_ITERATION_CASES[case]
+        chi = make()
+        res = css_b1(chi, k)
+        perm, q, r = _reference_b1(chi, k)
+        assert np.array_equal(res.perm, perm)
+        assert np.array_equal(res.factors.q, q)
+        assert np.array_equal(res.factors.r, r)
+
+    def test_iteration_decides_most_ships_steps(self):
+        chi = _ships(200, 100, 20, 0)
+        res = css_b1(chi, 20)
+        assert res.extras["svd_fallbacks"] < (100 - 20) // 4
+        assert res.extras["solve_sweeps"] >= 2 * (100 - 20 - res.extras["svd_fallbacks"])
+
+    def test_near_tie_falls_back_to_the_svd(self):
+        chi = _near_tie_matrix()
+        res = css_b1(chi, 16)
+        assert res.extras["svd_fallbacks"] >= 1
+        perm, q, r = _reference_b1(chi, 16)
+        assert np.array_equal(res.perm, perm)
+        assert np.array_equal(res.factors.r, r)
+
+    @pytest.mark.parametrize("j", (-600, 600))
+    def test_scaled_input_same_perm(self, j):
+        chi = _ships(200, 100, 20, 1)
+        assert np.array_equal(css_b1(np.ldexp(chi, j), 20).perm, css_b1(chi, 20).perm)
+
+    def test_reruns_report_equal_extras(self):
+        chi = _ships(200, 100, 20, 2)
+        assert css_b1(chi, 20).extras == css_b1(chi, 20).extras
 
 
 class TestCssB4:
