@@ -5,7 +5,6 @@ matrices directly, through pivoted QR machinery, instead of forming the
 information (Gram) matrix whose explicit construction squares the
 condition number.
 """
-from .config import DEFAULT, Tolerances
 from .css import (
     ALGORITHMS,
     CssResult,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT, SCHEMA_VERSION, Tolerances
+from .config import SCHEMA_VERSION
 from .css import ALGORITHMS, RankPolicy, SrrqrConfig, run_css
 from .errors import CssIdentError, InputDomainError
 from .generators import (
@@ -52,6 +52,8 @@ def _zeta_for(params: dict, rng: np.random.Generator) -> float:
     if "zeta" in params:
         return float(params["zeta"])
     lo, hi = params.get("zeta_range", (0.9, 0.99999))
+    if lo > hi:
+        raise InputDomainError(f"zeta_range needs lo <= hi, got {(lo, hi)}")
     return float(rng.uniform(lo, hi))
 
 
@@ -184,7 +186,7 @@ def _percentile_with_inf(arr: np.ndarray) -> tuple[float, float, float]:
     return s[idx[0]], s[idx[1]], s[idx[2]]
 
 
-def run_experiment(spec: ExperimentSpec, tol: Tolerances = DEFAULT) -> AggregateReport:
+def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     """Run every realization and aggregate per-algorithm statistics.
 
     Individual realization failures are recorded in their row's ``error``
@@ -211,7 +213,7 @@ def run_experiment(spec: ExperimentSpec, tol: Tolerances = DEFAULT) -> Aggregate
             try:
                 cfg = SrrqrConfig(f=float(spec.f.get(alg, 1.0)))
                 result = run_css(chi, chi_svd, alg, spec.k_policy, cfg)
-                rec = compute_metrics(chi, chi_svd, result, tol)
+                rec = compute_metrics(chi, chi_svd, result)
             except CssIdentError as exc:
                 rows.append(_error_row(seed, alg, str(exc)))
                 continue

@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 input or validation error, 3 numerical failure
 (verify-dyn additionally exits 1 when the verification tolerance is
 exceeded).  All outputs are deterministic given identical flags and seed;
 wall-clock timings appear only in JSON reports, never in CSV or matrix
-files.  Numeric defaults can be overridden through CSSIDENT_* environment
-variables (see config module).
+files.  No environment variable changes a result: the numeric constants
+are fixed in the config module.
 """
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ def cmd_analyze(args) -> int:
     chi_svd = linalg.svd(chi)
     result = run_css(chi, chi_svd, args.algorithm, policy, cfg)
     record = compute_metrics(chi, chi_svd, result)
-    checks = theorem_bound_checks(chi_svd, result, f=args.f)
+    checks = theorem_bound_checks(chi_svd, result)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "input": str(args.input),

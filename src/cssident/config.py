@@ -1,57 +1,30 @@
-"""Central numeric defaults.
+"""Central numeric constants.
 
-Every tolerance used by the library lives here.  Values can be overridden
-per call (most functions take a ``tol`` argument) or globally through
-environment variables with the ``CSSIDENT_`` prefix:
+Every tolerance and convention the library shares lives here, as a plain
+constant, so results depend only on the input and the call's arguments:
 
-    CSSIDENT_TOL_ORTH         orthonormality check tolerance
-    CSSIDENT_TOL_RECON        factorization reconstruction tolerance
-    CSSIDENT_TOL_RANK_FACTOR  multiplier c in the rank cutoff c*n*eps*sigma_1
+    ORTH_TOL                    orthonormality check on Q factors
+    RECON_TOL                   relative reconstruction check on QR factors
+    rank_cutoff(n, sigma1)      singular values at or below n*eps*sigma_1
+                                count as zero
+    RESIDUAL_DEFICIENCY_FACTOR  gamma2's exact-deficiency margin
+    SRRQR_TIE_SLACK             relative slack on srrqr's bound f
+    SCHEMA_VERSION              version stamped into every JSON output
 """
 from __future__ import annotations
-
-import os
-from dataclasses import dataclass
 
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances for factorization and rank decisions.
-
-    ``rank_factor`` scales the relative rank cutoff: a singular value
-    sigma_j is treated as zero when sigma_j <= rank_factor * n * eps * sigma_1.
-    """
-
-    orth: float = 1e-12
-    recon: float = 1e-12
-    rank_factor: float = 1.0
-
-    def rank_cutoff(self, n: int, sigma1: float) -> float:
-        """Absolute cutoff below which singular values count as zero."""
-        return self.rank_factor * n * _EPS * sigma1
+ORTH_TOL = 1e-12
+RECON_TOL = 1e-12
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    return float(raw)
+def rank_cutoff(n: int, sigma1: float) -> float:
+    """Absolute cutoff below which singular values count as zero."""
+    return n * _EPS * sigma1
 
-
-def from_env() -> Tolerances:
-    """Build tolerances from ``CSSIDENT_*`` environment variables."""
-    return Tolerances(
-        orth=_env_float("CSSIDENT_TOL_ORTH", 1e-12),
-        recon=_env_float("CSSIDENT_TOL_RECON", 1e-12),
-        rank_factor=_env_float("CSSIDENT_TOL_RANK_FACTOR", 1.0),
-    )
-
-
-DEFAULT = from_env()
 
 # Residuals this far above the rank cutoff no longer count as an exact
 # rank deficiency (covers the sqrt(p) inflation of projector round-off).

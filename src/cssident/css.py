@@ -370,15 +370,15 @@ def v11_inverse_norm(chi_svd: SvdFactors, perm, k: int) -> float:
     return float(1.0 / smin) if smin > 0 else float("inf")
 
 
-def leverage_scores(v_sub, tol_orth: float = 1e-8) -> np.ndarray:
+def leverage_scores(v_sub) -> np.ndarray:
     """Squared row norms of a matrix with orthonormal columns.
 
     The scores sum to the number of columns.  Input orthonormality is
-    checked to ``tol_orth``.
+    checked to 1e-8 in the Frobenius norm.
     """
     arr = check_matrix(v_sub, "v_sub")
     m = arr.shape[1]
-    if np.linalg.norm(arr.T @ arr - np.eye(m)) > tol_orth:
+    if np.linalg.norm(arr.T @ arr - np.eye(m)) > 1e-8:
         raise InputDomainError("v_sub does not have orthonormal columns")
     return np.sum(arr * arr, axis=1)
 

@@ -159,6 +159,10 @@ def gen_jolliffe(n: int, p: int, block_size: int = 5,
     ``rho_range``.  By default every column belongs to a correlated block
     and the number of blocks equals the designated k.  Draw order: spectrum, U, rho.
     """
+    if block_size < 1:
+        raise InputDomainError(f"block_size must be >= 1, got {block_size}")
+    if rho_range[0] > rho_range[1]:
+        raise InputDomainError(f"rho_range needs lo <= hi, got {tuple(rho_range)}")
     if p % block_size != 0:
         raise InputDomainError(
             f"p={p} must be divisible by block_size={block_size}"

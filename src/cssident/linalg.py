@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import ORTH_TOL, RECON_TOL, rank_cutoff
 from .errors import InputDomainError, NumericalFailureError
 
 
@@ -80,15 +80,15 @@ class QrFactors:
         den = float(np.linalg.norm(a * scale))
         return num / den if den > 0 else num
 
-    def validate(self, a: np.ndarray, tol: Tolerances = DEFAULT) -> None:
+    def validate(self, a: np.ndarray) -> None:
         """Check orthonormality, triangularity and reconstruction."""
         p = self.p
         check_perm(self.perm, p)
-        if np.linalg.norm(self.q.T @ self.q - np.eye(p)) > tol.orth:
+        if np.linalg.norm(self.q.T @ self.q - np.eye(p)) > ORTH_TOL:
             raise NumericalFailureError("q has lost orthonormality")
         if np.any(np.tril(self.r, -1) != 0.0):
             raise NumericalFailureError("r is not exactly upper triangular")
-        if self.reconstruction_error(a) > tol.recon:
+        if self.reconstruction_error(a) > RECON_TOL:
             raise NumericalFailureError("factors do not reconstruct the input")
 
 
@@ -200,7 +200,7 @@ def singular_values(a) -> np.ndarray:
     return svd(a).sigma
 
 
-def orthonormal_range(a, tol: Tolerances = DEFAULT) -> np.ndarray:
+def orthonormal_range(a) -> np.ndarray:
     """Orthonormal basis of range(a), truncated at the rank cutoff."""
     arr = check_matrix(a)
     if arr.shape[0] >= arr.shape[1]:
@@ -210,12 +210,12 @@ def orthonormal_range(a, tol: Tolerances = DEFAULT) -> np.ndarray:
         u, sigma, _ = np.linalg.svd(arr, full_matrices=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return u[:, :0]
-    cutoff = tol.rank_cutoff(max(arr.shape), float(sigma[0]))
+    cutoff = rank_cutoff(max(arr.shape), float(sigma[0]))
     rank = int(np.sum(sigma > cutoff))
     return u[:, :rank]
 
 
-def residual_norm(a1, a2, tol: Tolerances = DEFAULT) -> float:
+def residual_norm(a1, a2) -> float:
     """2-norm of the projection residual ||(I - a1 a1^+) a2||_2.
 
     The Moore-Penrose action is applied through a truncated SVD of a1
@@ -227,20 +227,20 @@ def residual_norm(a1, a2, tol: Tolerances = DEFAULT) -> float:
         raise InputDomainError(
             f"row mismatch: a1 has {m1.shape[0]} rows, a2 has {m2.shape[0]}"
         )
-    basis = orthonormal_range(m1, tol)
+    basis = orthonormal_range(m1)
     if basis.shape[1] == 0:
         return float(np.linalg.norm(m2, 2))
     return float(np.linalg.norm(m2 - basis @ (basis.T @ m2), 2))
 
 
-def condition_number(a, tol: Tolerances = DEFAULT) -> float:
+def condition_number(a) -> float:
     """2-norm condition number sigma_1/sigma_p, inf past the rank cutoff."""
     arr = check_matrix(a)
     _require_tall(arr, "condition_number")
     sigma = singular_values(arr)
     if sigma[0] == 0.0:
         return float("inf")
-    cutoff = tol.rank_cutoff(max(arr.shape), float(sigma[0]))
+    cutoff = rank_cutoff(max(arr.shape), float(sigma[0]))
     if sigma[-1] <= cutoff:
         return float("inf")
     return float(sigma[0] / sigma[-1])

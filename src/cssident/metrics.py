@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 import scipy.linalg as sla
 
-from .config import DEFAULT, RESIDUAL_DEFICIENCY_FACTOR, SRRQR_TIE_SLACK, Tolerances
+from .config import RECON_TOL, RESIDUAL_DEFICIENCY_FACTOR, SRRQR_TIE_SLACK, rank_cutoff
 from .css import CssResult, v11_inverse_norm
 from .errors import InputDomainError
 from .linalg import SvdFactors, _pow2_scale, check_matrix, residual_norm, svd
@@ -48,8 +48,7 @@ class MetricsRecord:
         return asdict(self)
 
 
-def compute_metrics(chi, chi_svd: SvdFactors, result: CssResult,
-                    tol: Tolerances = DEFAULT) -> MetricsRecord:
+def compute_metrics(chi, chi_svd: SvdFactors, result: CssResult) -> MetricsRecord:
     """Evaluate gamma1, gamma2 and tau for ``result`` against ``chi``.
 
     ``chi_svd`` is ``svd(chi)``.  The factors must actually factor ``chi``
@@ -60,11 +59,11 @@ def compute_metrics(chi, chi_svd: SvdFactors, result: CssResult,
     arr = check_matrix(chi)
     n, p = arr.shape
     k = result.k
-    if result.factors.reconstruction_error(arr) > 100 * tol.recon:
+    if result.factors.reconstruction_error(arr) > 100 * RECON_TOL:
         raise InputDomainError("result was not produced from this matrix")
     sigma = chi_svd.sigma
     sigma1 = float(sigma[0])
-    cutoff = tol.rank_cutoff(n, sigma1)
+    cutoff = rank_cutoff(n, sigma1)
 
     perm = result.perm
     chi1 = arr[:, perm[:k]]
@@ -73,7 +72,7 @@ def compute_metrics(chi, chi_svd: SvdFactors, result: CssResult,
     sigma_k_chi1 = float(s_chi1[k - 1])
     sigma_k_chi = float(sigma[k - 1])
     sigma_k_plus_1 = float(sigma[k])
-    resid = residual_norm(chi1, chi2, tol)
+    resid = residual_norm(chi1, chi2)
 
     gamma1 = sigma_k_chi1 / sigma_k_chi if sigma_k_chi > 0 else 1.0
 
@@ -135,20 +134,30 @@ def _check(name, lhs, rhs, sense, slack, scale=1.0) -> BoundCheck:
                       slack=float(slack) / scale)
 
 
-def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult,
-                         f: float | None = None,
-                         slack_factor: float = 1e-8) -> list[BoundCheck]:
+def _ldexp_or_inf(x: float, e: int) -> float:
+    # x * 2^e for x >= 0, exact where it fits; inf past the double range,
+    # where ldexp raises OverflowError
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult) -> list[BoundCheck]:
     """Evaluate the stated accuracy guarantees for one result.
 
     ``chi_svd`` is the SVD of the matrix ``result`` was selected from.
     Includes singular value interlacing for the final split and the
-    algorithm-specific bounds.  ``slack_factor`` scales sigma_1 into an
-    absolute tolerance for each inequality.
+    algorithm-specific bounds.  Each inequality allows an absolute slack
+    of 1e-8 sigma_1; srrqr's bound f is the one it ran with,
+    ``result.extras['f']``.
 
     Each inequality is decided on sigma and R scaled by the exact power of
     two that brings sigma_1 into [0.5, 1), so no bound over- or underflows;
     lhs, rhs and slack are reported in input units, as inf where the value
-    exceeds the double range.
+    exceeds the double range.  The b1 and b3 bounds with a factor
+    2^(p-k-1) or 2^(k-1) are inf where they exceed the double range even
+    after scaling, and 0 where the sigma they multiply is 0.
 
     For b1, ``b1-residual-upper`` is the stated form ||R22||_2 <=
     2^(p-k-1) sigma_{k+1}.  At k = p-1 it demands |r_pp| <= sigma_p, but
@@ -162,7 +171,7 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult,
     sigma = (chi_svd.sigma * scale).tolist()
     p = len(sigma)
     k = result.k
-    slack = slack_factor * sigma[0]
+    slack = 1e-8 * sigma[0]
     r = result.factors.r * scale
     r11 = r[:k, :k]
     r22 = r[k:, k:]
@@ -181,11 +190,11 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult,
     alg = result.algorithm
     if alg == "b1":
         checks.append(check(
-            "b1-residual-upper", s_r22[0], 2.0 ** (p - k - 1) * sigma[k], "le",
+            "b1-residual-upper", s_r22[0], _ldexp_or_inf(sigma[k], p - k - 1), "le",
         ))
         checks.append(check(
             "b1-residual-upper-proof-form", s_r22[0],
-            math.sqrt(p * (p - k)) * 2.0 ** (p - k - 1) * sigma[k], "le",
+            math.sqrt(p * (p - k)) * _ldexp_or_inf(sigma[k], p - k - 1), "le",
         ))
         for ell in range(k + 1, p + 1):
             checks.append(check(
@@ -205,12 +214,12 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult,
         v11_inv = result.extras.get("v11_inv_norm")
         if v11_inv is None:
             v11_inv = v11_inverse_norm(chi_svd, result.perm, k)
-        checks.append(_check("b3-v11-inverse-cap", v11_inv, 2.0 ** (k - 1),
+        checks.append(_check("b3-v11-inverse-cap", v11_inv, _ldexp_or_inf(1.0, k - 1),
                              "le", slack / scale))
         checks.append(check("b3-sigmak-lower", s_r11[-1], sigma[k - 1] / v11_inv, "ge"))
         checks.append(check("b3-residual-upper", s_r22[0], v11_inv * sigma[k], "le"))
     elif alg == "srrqr":
-        fval = f if f is not None else result.extras.get("f", 1.0)
+        fval = result.extras["f"]
         factor = math.sqrt(1.0 + fval * fval * k * (p - k))
         for i in range(k):
             checks.append(check(

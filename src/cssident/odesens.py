@@ -293,19 +293,27 @@ class PrescribedSystem:
 def build_prescribed_system(factors: SvdFactors, horizon: float) -> PrescribedSystem:
     """Pick decay rates lam_j = ln(sigma_j)/T so exp(T lam_j) = sigma_j.
 
-    Zero singular values are rejected: the logarithm is undefined and the
+    The factors must be u n x p, sigma of length p and v p x p.  Zero
+    singular values are rejected: the logarithm is undefined and the
     construction has no limit there.
     """
     if not horizon > 0:
         raise InputDomainError("horizon T must be positive")
+    u = np.asarray(factors.u, dtype=float)
     sigma = np.asarray(factors.sigma, dtype=float)
+    v = np.asarray(factors.v, dtype=float)
+    p = sigma.size
+    if u.ndim != 2 or u.shape[1] != p or sigma.ndim != 1 or v.shape != (p, p):
+        raise InputDomainError(
+            "prescribed system needs u n x p, sigma of length p and v p x p, "
+            f"got u {u.shape}, sigma {sigma.shape}, v {v.shape}"
+        )
     if np.any(sigma <= 0.0):
         raise InputDomainError(
             "prescribed system needs strictly positive singular values"
         )
     lam = np.log(sigma) / horizon
-    return PrescribedSystem(lam=lam, u=np.asarray(factors.u, dtype=float),
-                            v=np.asarray(factors.v, dtype=float), horizon=horizon)
+    return PrescribedSystem(lam=lam, u=u, v=v, horizon=horizon)
 
 
 def observe_prescribed(system: PrescribedSystem, q, t: float) -> np.ndarray:

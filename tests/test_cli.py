@@ -1,7 +1,11 @@
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -9,7 +13,7 @@ import pytest
 
 import cssident
 from cssident import ALGORITHMS, SpectrumSpec, gen_ships, linalg
-from cssident.bench import ExperimentSpec, realize, run_experiment
+from cssident.bench import ExperimentSpec, read_rows_csv, realize, run_experiment
 from cssident.cli import load_schema, main
 from cssident.generators import FAMILIES
 from cssident.matio import read_matrix, write_csv
@@ -145,6 +149,12 @@ class TestGenerateMatchesRealize:
         ("sorensen_embree", ("--n", "20", "--k", "3"),
          "sorensen_embree requires --p and --k"),
         ("ships", ("--n", "20", "--p", "10"), "ships requires --p and --k"),
+        ("jolliffe", ("--n", "20", "--p", "10", "--k", "2", "--block-size", "0"),
+         "block_size must be >= 1, got 0"),
+        ("jolliffe", ("--n", "20", "--p", "10", "--k", "2", "--block-size", "-5"),
+         "block_size must be >= 1, got -5"),
+        ("jolliffe", ("--n", "20", "--p", "10", "--k", "2", "--rho-range", "0.5", "0.1"),
+         "rho_range needs lo <= hi, got (0.5, 0.1)"),
     ])
     def test_missing_flag_exits_2(self, tmp_path, capsys, family, argv, message):
         assert run_cli("generate", "--family", family, *argv,
@@ -255,6 +265,38 @@ class TestBoundChecksAtLargeScale:
         assert any(c["rhs"] == "inf" for c in scaled["bound_checks"]) == (algorithm == "b1")
 
 
+class TestEnvironmentIndependence:
+    """Results depend on the flags and the matrix alone: no environment
+    variable changes a byte of the output."""
+
+    def test_analyze_ignores_cssident_variables(self, tmp_path):
+        # on Kahan 30 at k = 29, a larger rank cutoff would flip gamma2_flag
+        # to exact-deficiency and tau_flag to undefined
+        chi = tmp_path / "kahan.csv"
+        assert run_cli("generate", "--family", "kahan", "--n", "30",
+                       "--zeta", "0.9", "--output", str(chi)) == 0
+        src = str(Path(cssident.__file__).resolve().parents[1])
+        base_env = {key: val for key, val in os.environ.items()
+                    if not key.startswith("CSSIDENT_")}
+        base_env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, base_env.get("PYTHONPATH"))))
+        outputs = []
+        for extra in ({}, {"CSSIDENT_TOL_RANK_FACTOR": "1e10"},
+                      {"CSSIDENT_TOL_ORTH": "abc"}):
+            out = tmp_path / "analysis.json"
+            out.unlink(missing_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cssident.cli", "analyze",
+                 "--input", str(chi), "--algorithm", "srrqr",
+                 "--k-policy", "fixed", "--k", "29", "--output", str(out)],
+                env=base_env | extra, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, (extra, proc.stderr)
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+
 class TestBench:
     def _write_spec(self, tmp_path, payload):
         spec = tmp_path / "spec.json"
@@ -290,6 +332,20 @@ class TestBench:
         })
         assert run_cli("bench", "--spec", str(spec),
                        "--out-dir", str(tmp_path / "o")) == 2
+
+    def test_reversed_zeta_range_records_generator_errors(self, tmp_path):
+        spec = self._write_spec(tmp_path, {
+            "generator": {"family": "kahan", "n": 10, "zeta_range": [0.99, 0.9]},
+            "algorithms": ["b1", "srrqr"],
+            "k_policy": {"mode": "fixed", "k": 9},
+            "realizations": 2,
+        })
+        out = tmp_path / "o"
+        assert run_cli("bench", "--spec", str(spec), "--out-dir", str(out)) == 0
+        rows = read_rows_csv(out / "rows.csv")
+        assert len(rows) == 4
+        assert {r["error"] for r in rows} == {
+            "generator: zeta_range needs lo <= hi, got (0.99, 0.9)"}
 
     def test_rerun_csv_byte_identical(self, tmp_path):
         spec = self._write_spec(tmp_path, {
@@ -353,6 +409,17 @@ class TestVerifyDyn:
         path = tmp_path / "bad.json"
         path.write_text('{"u": [[1]]}')
         assert run_cli("verify-dyn", "--svd", str(path)) == 2
+        # shapes that disagree: u must be n x p, sigma of length p, v p x p
+        for u, sigma, v in (
+            (np.ones((3, 2)), [1.0, 1.0, 1.0], np.eye(2)),
+            (np.eye(3), [1.0, 1.0], np.eye(3)),
+            (np.eye(3), [1.0, 1.0, 1.0], np.eye(2)),
+            (np.eye(3), [[1.0, 1.0, 1.0]], np.eye(3)),
+            (np.eye(3)[:, :2], [1.0, 1.0], np.ones((2, 3))),
+        ):
+            path.write_text(json.dumps(
+                {"u": u.tolist(), "sigma": sigma, "v": v.tolist()}))
+            assert run_cli("verify-dyn", "--svd", str(path)) == 2
 
 
 class TestGramDemo:

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from cssident import (
+    CssResult,
     InputDomainError,
     NOMINAL_SVIR,
+    QrFactors,
+    SvdFactors,
     compute_metrics,
     css_b1,
     css_b3,
@@ -107,6 +112,43 @@ class TestBoundChecks:
         assert "srrqr-coupling-cap" in names
         assert any(n.startswith("srrqr-sigma-lower") for n in names)
         assert all(c.satisfied for c in checks)
+
+    @staticmethod
+    def _identity_checks(algorithm, k, p=1030, sigma=None, extras=None):
+        # hand-built factors of the p x p identity: no selection runs
+        eye = np.eye(p)
+        chi_svd = SvdFactors(u=eye, sigma=np.ones(p) if sigma is None else sigma, v=eye)
+        perm = np.arange(p)
+        result = CssResult(algorithm=algorithm, k=k,
+                           factors=QrFactors(perm=perm, q=eye, r=eye),
+                           identifiable=tuple(range(k)),
+                           unidentifiable=tuple(range(k, p)),
+                           extras=extras or {})
+        checks = theorem_bound_checks(chi_svd, result)
+        for c in checks:
+            assert not any(math.isnan(x) for x in (c.lhs, c.rhs, c.slack))
+        return {c.name: c for c in checks}
+
+    def test_b1_bound_past_double_range(self):
+        # 2^(p-k-1) = 2^1028 overflows; the bound is inf, not an error
+        checks = self._identity_checks("b1", 1)
+        for name in ("b1-residual-upper", "b1-residual-upper-proof-form"):
+            assert checks[name].rhs == math.inf and checks[name].satisfied
+        # ... and 0 where the sigma it multiplies is 0
+        sigma = np.zeros(1030)
+        sigma[0] = 1.0
+        checks = self._identity_checks("b1", 1, sigma=sigma)
+        for name in ("b1-residual-upper", "b1-residual-upper-proof-form"):
+            assert checks[name].rhs == 0.0
+        # the largest exponent that fits keeps its value
+        checks = self._identity_checks("b1", 6)
+        assert checks["b1-residual-upper"].rhs == 2.0 ** 1023
+
+    def test_b3_cap_past_double_range(self):
+        # 2^(k-1) = 2^1025 overflows; the cap is inf, not an error
+        checks = self._identity_checks("b3", 1026, extras={"v11_inv_norm": 1.0})
+        cap = checks["b3-v11-inverse-cap"]
+        assert cap.rhs == math.inf and cap.satisfied
 
 
 class TestGramLossDemo:
