@@ -35,6 +35,7 @@ from .generators import (
     gen_ships,
     gen_sorensen_embree,
     haar_orthonormal,
+    realize,
 )
 from .linalg import (
     QrFactors,
@@ -72,7 +73,7 @@ from .odesens import (
     svir_sensitivity,
     verify_prescribed_sensitivity,
 )
-from .bench import AggregateReport, ExperimentSpec, realize, run_experiment
+from .bench import AggregateReport, ExperimentSpec, run_experiment
 
 __version__ = "0.1.0"
 

@@ -1,18 +1,24 @@
 """Multi-realization experiment runner and aggregation.
 
-An experiment draws ``realizations`` matrices from one generator family
-(seed = base_seed + i), decomposes each once, runs each configured
-algorithm on it, computes metrics,
-and aggregates mean/median/min/max/quartiles per algorithm.  Per-row
-results go to CSV, aggregates (and wall-clock times, which are not part
-of the deterministic row data) go to JSON.
+An experiment draws ``realizations`` matrices from one generator
+description (seed = base_seed + i), decomposes each once, runs each
+configured algorithm on it, computes metrics, and aggregates
+mean/median/min/max/quartiles per algorithm.  Per-row results go to CSV,
+aggregates (and wall-clock times, which are not part of the
+deterministic row data) go to JSON.
+
+The description is read by :func:`cssident.generators.realize`, which
+owns its keys and defaults; ``realize`` is bound here so that run_experiment
+calls it through this module.  An algorithm the spec gives no f runs with
+``SrrqrConfig``'s default.  A description realize rejects (a missing key,
+a NaN range) becomes ``generator: ...`` error rows, not an exit.
 """
 from __future__ import annotations
 
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +27,7 @@ from . import linalg
 from .config import SCHEMA_VERSION
 from .css import ALGORITHMS, RankPolicy, SrrqrConfig, run_css
 from .errors import CssIdentError, InputDomainError
-from .generators import (
-    SpectrumSpec,
-    gen_gu_eisenstat,
-    gen_jolliffe,
-    gen_kahan,
-    gen_ships,
-    gen_sorensen_embree,
-)
+from .generators import realize
 from .metrics import compute_metrics
 
 _FLOAT_FMT = "%.17g"
@@ -37,65 +36,6 @@ CSV_COLUMNS = (
     "seed", "algorithm", "k", "tau", "gamma1", "gamma2",
     "gamma2_flag", "tau_flag", "degenerate_k", "swap_count", "error",
 )
-
-
-def _spectrum_from_dict(d: dict, default_spacing: str = "uniform") -> SpectrumSpec:
-    return SpectrumSpec(
-        k=int(d["k"]),
-        leading=tuple(d.get("leading", (1e2, 1e3))),
-        trailing=tuple(d.get("trailing", (1e-10, 10 ** 1.9))),
-        spacing=d.get("spacing", default_spacing),
-    )
-
-
-def _zeta_for(params: dict, rng: np.random.Generator) -> float:
-    if "zeta" in params:
-        return float(params["zeta"])
-    lo, hi = params.get("zeta_range", (0.9, 0.99999))
-    if lo > hi:
-        raise InputDomainError(f"zeta_range needs lo <= hi, got {(lo, hi)}")
-    return float(rng.uniform(lo, hi))
-
-
-def realize(generator: dict, seed: int) -> np.ndarray:
-    """Draw one matrix from a generator description.
-
-    ``generator`` carries a 'family' key plus family parameters; see the
-    bench spec schema for the accepted layouts.
-    """
-    params = dict(generator)
-    try:
-        family = params.pop("family")
-    except KeyError as exc:
-        raise InputDomainError("generator description needs a 'family'") from exc
-    rng = np.random.default_rng(seed)
-    if family == "identity":
-        n = int(params["n"])
-        return np.eye(n, int(params.get("p", n)))
-    if family == "gaussian":
-        return rng.standard_normal((int(params["n"]), int(params["p"])))
-    if family == "kahan":
-        return gen_kahan(int(params["n"]), _zeta_for(params, rng))
-    if family == "gu_eisenstat":
-        return gen_gu_eisenstat(int(params["n"]), _zeta_for(params, rng))
-    if family == "jolliffe":
-        spec = _spectrum_from_dict(params["spectrum"]) if "spectrum" in params else None
-        return gen_jolliffe(
-            int(params["n"]), int(params["p"]),
-            block_size=int(params.get("block_size", 5)),
-            rho_range=tuple(params.get("rho_range", (0.9, 0.99999))),
-            spec=spec, seed=seed,
-        )
-    if family == "sorensen_embree":
-        spec = _spectrum_from_dict(params["spectrum"])
-        return gen_sorensen_embree(int(params["n"]), int(params["p"]), spec, seed)
-    if family == "ships":
-        spec = (
-            _spectrum_from_dict(params["spectrum"], default_spacing="logspace")
-            if "spectrum" in params else None
-        )
-        return gen_ships(int(params["n"]), int(params["p"]), spec, seed)
-    raise InputDomainError(f"unknown generator family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -122,30 +62,18 @@ class ExperimentSpec:
         return cls(
             generator=dict(d["generator"]),
             algorithms=tuple(a.lower() for a in d["algorithms"]),
-            k_policy=RankPolicy(
-                mode=policy["mode"],
-                k=policy.get("k"),
-                eta=float(policy.get("eta", 0.0)),
-            ),
+            k_policy=RankPolicy(mode=policy["mode"], k=policy.get("k"),
+                                eta=float(policy.get("eta", RankPolicy.eta))),
             realizations=int(d["realizations"]),
-            base_seed=int(d.get("base_seed", 0)),
+            base_seed=int(d.get("base_seed", cls.base_seed)),
             f=dict(d.get("f", {})),
         )
 
     def as_dict(self) -> dict:
-        policy: dict = {"mode": self.k_policy.mode}
-        if self.k_policy.k is not None:
-            policy["k"] = self.k_policy.k
-        if self.k_policy.eta:
-            policy["eta"] = self.k_policy.eta
-        return {
-            "generator": dict(self.generator),
-            "algorithms": list(self.algorithms),
-            "k_policy": policy,
-            "realizations": self.realizations,
-            "base_seed": self.base_seed,
-            "f": dict(self.f),
-        }
+        # the policy as a spec writes it: k when set, eta when nonzero
+        policy = {key: val for key, val in asdict(self.k_policy).items()
+                  if val is not None and (key != "eta" or val)}
+        return asdict(self) | {"algorithms": list(self.algorithms), "k_policy": policy}
 
 
 @dataclass(frozen=True)
@@ -211,7 +139,7 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
         for alg in spec.algorithms:
             t0 = time.perf_counter()
             try:
-                cfg = SrrqrConfig(f=float(spec.f.get(alg, 1.0)))
+                cfg = SrrqrConfig(f=float(spec.f.get(alg, SrrqrConfig.f)))
                 result = run_css(chi, chi_svd, alg, spec.k_policy, cfg)
                 rec = compute_metrics(chi, chi_svd, result)
             except CssIdentError as exc:
@@ -219,19 +147,10 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
                 continue
             finally:
                 wall[alg] += time.perf_counter() - t0
-            rows.append({
-                "seed": seed,
-                "algorithm": alg,
-                "k": rec.k,
-                "tau": rec.tau,
-                "gamma1": rec.gamma1,
-                "gamma2": rec.gamma2,
-                "gamma2_flag": rec.gamma2_flag,
-                "tau_flag": rec.tau_flag,
-                "degenerate_k": result.degenerate_k,
-                "swap_count": result.swap_count,
-                "error": "",
-            })
+            fields = rec.as_dict() | {
+                "seed": seed, "algorithm": alg, "degenerate_k": result.degenerate_k,
+                "swap_count": result.swap_count, "error": ""}
+            rows.append({col: fields[col] for col in CSV_COLUMNS})
     wall["total"] = time.perf_counter() - t_start
     return AggregateReport(
         spec=spec,
@@ -242,11 +161,9 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
 
 
 def _error_row(seed: int, alg: str, message: str) -> dict:
-    return {
-        "seed": seed, "algorithm": alg, "k": None, "tau": None,
-        "gamma1": None, "gamma2": None, "gamma2_flag": "", "tau_flag": "",
-        "degenerate_k": False, "swap_count": 0, "error": message,
-    }
+    return dict.fromkeys(CSV_COLUMNS) | {
+        "seed": seed, "algorithm": alg, "gamma2_flag": "", "tau_flag": "",
+        "degenerate_k": False, "swap_count": 0, "error": message}
 
 
 def aggregate_rows(rows: list[dict], algorithms) -> dict:

@@ -6,7 +6,8 @@ Exit codes: 0 success, 2 input or validation error, 3 numerical failure
 exceeded).  All outputs are deterministic given identical flags and seed;
 wall-clock timings appear only in JSON reports, never in CSV or matrix
 files.  No environment variable changes a result: the numeric constants
-are fixed in the config module.
+are fixed in the config module.  A flag that feeds a library parameter
+takes, when left out, the default its library owner states.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -21,8 +23,8 @@ import jsonschema
 import numpy as np
 
 from . import bench as bench_mod
-from . import linalg
-from .bench import ExperimentSpec, json_safe, realize, run_experiment
+from . import generators, linalg, odesens
+from .bench import ExperimentSpec, json_safe, run_experiment
 from .config import SCHEMA_VERSION
 from .css import ALGORITHMS, RankPolicy, SrrqrConfig, run_css
 from .errors import InputDomainError, IntegrationFailureError, NumericalFailureError
@@ -33,7 +35,6 @@ from .metrics import compute_metrics, gram_loss_demo, theorem_bound_checks
 from .odesens import (
     SensMethod,
     SvirParams,
-    SvirState,
     TimeGrid,
     build_prescribed_system,
     svir_sensitivity,
@@ -55,6 +56,12 @@ def _write_json(payload: dict, path) -> None:
     Path(path).write_text(json.dumps(json_safe(payload), indent=2) + "\n")
 
 
+def _given(args, *names) -> dict:
+    # the flags the user set; the library's own defaults fill in the rest
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _policy_from_args(args) -> RankPolicy:
     mode = args.k_policy
     if mode == "fixed":
@@ -71,7 +78,7 @@ def _policy_from_args(args) -> RankPolicy:
 def cmd_analyze(args) -> int:
     chi = read_matrix(args.input)
     policy = _policy_from_args(args)
-    cfg = SrrqrConfig(f=args.f)
+    cfg = SrrqrConfig(**_given(args, "f"))
     chi_svd = linalg.svd(chi)
     result = run_css(chi, chi_svd, args.algorithm, policy, cfg)
     record = compute_metrics(chi, chi_svd, result)
@@ -81,7 +88,7 @@ def cmd_analyze(args) -> int:
         "input": str(args.input),
         "algorithm": result.algorithm,
         "k": result.k,
-        "k_policy": {"mode": policy.mode, "k": policy.k, "eta": policy.eta},
+        "k_policy": asdict(policy),
         "degenerate_k": result.degenerate_k,
         "identifiable": list(result.identifiable),
         "unidentifiable": list(result.unidentifiable),
@@ -100,7 +107,7 @@ def cmd_analyze(args) -> int:
 
 def _generator_params(args) -> dict:
     # the generator description that realize() reads, as the sidecar records it
-    if args.family in ("kahan", "gu_eisenstat"):
+    if args.family not in generators.SEEDED_FAMILIES:
         if args.zeta is None:
             raise InputDomainError(f"{args.family} requires --zeta")
         return {"n": args.n, "zeta": args.zeta}
@@ -109,22 +116,20 @@ def _generator_params(args) -> dict:
     params: dict = {"n": args.n, "p": args.p}
     if args.family == "jolliffe":
         params |= {"block_size": args.block_size, "rho_range": list(args.rho_range)}
-    default_spacing = "logspace" if args.family == "ships" else "uniform"
-    params["spectrum"] = {"k": args.k, "leading": list(args.leading),
-                          "trailing": list(args.trailing),
-                          "spacing": args.spacing or default_spacing}
+    spectrum = {"k": args.k, **_given(args, "leading", "trailing", "spacing")}
+    params["spectrum"] = asdict(generators.spectrum_spec(args.family, spectrum))
     return params
 
 
 def cmd_generate(args) -> int:
     family = args.family
     params = _generator_params(args)
-    matrix = realize({"family": family, **params}, args.seed)
+    matrix = generators.realize({"family": family, **params}, args.seed)
     write_matrix(matrix, args.output, args.format)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "family": family,
-        "seed": args.seed if family in ("jolliffe", "sorensen_embree", "ships") else None,
+        "seed": args.seed if family in generators.SEEDED_FAMILIES else None,
         "params": params,
         "rows": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
@@ -139,7 +144,7 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     try:
         raw = json.loads(Path(args.spec).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputDomainError(f"cannot read bench spec: {exc}") from exc
     schema = load_schema("bench_spec.schema.json")
     try:
@@ -156,27 +161,20 @@ def cmd_bench(args) -> int:
 
 
 def cmd_svir(args) -> int:
-    params = SvirParams(beta=args.beta, nu=args.nu, alpha=args.alpha,
-                        gamma=args.gamma)
-    state = SvirState(s=args.s0 if args.s0 is not None else args.n_total - args.i0,
-                      v=args.v0, i=args.i0, r=args.r0, n=args.n_total)
-    grid = TimeGrid.days(args.days + 1)
-    if args.method == "central-fd":
-        method = SensMethod.central_fd() if args.step is None \
-            else SensMethod.central_fd(args.step)
-    else:
-        method = SensMethod.complex_step() if args.step is None \
-            else SensMethod.complex_step(args.step)
+    params = SvirParams(**_given(args, "beta", "nu", "alpha", "gamma"))
+    state = replace(odesens.default_initial_state(**_given(args, "n_total", "i0")),
+                    **_given(args, "s", "v", "r"))
+    grid = odesens.DEFAULT_GRID if args.days is None else TimeGrid.days(args.days + 1)
+    method = (SensMethod.central_fd if args.method == "central-fd"
+              else SensMethod.complex_step)(**_given(args, "step"))
     sens = svir_sensitivity(params, state, grid, method, substeps=args.substeps)
     write_matrix(sens, args.output, args.format)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
-        "params": {"beta": params.beta, "nu": params.nu,
-                   "alpha": params.alpha, "gamma": params.gamma},
-        "initial_state": {"s": state.s, "v": state.v, "i": state.i,
-                          "r": state.r, "n": state.n},
+        "params": asdict(params),
+        "initial_state": asdict(state),
         "times": [float(t) for t in grid.times],
-        "method": {"kind": method.kind, "step": method.step},
+        "method": asdict(method),
         "substeps": args.substeps,
         "rows": int(sens.shape[0]),
         "cols": int(sens.shape[1]),
@@ -200,12 +198,10 @@ def cmd_verify_dyn(args) -> int:
     )
     rng = np.random.default_rng(args.seed)
     q = rng.standard_normal(v.shape[0])
-    report = verify_prescribed_sensitivity(system, q, tol=args.tol)
+    report = verify_prescribed_sensitivity(system, q, **_given(args, "tol"))
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "rel_error": report.rel_error,
-        "tol": report.tol,
-        "passed": report.passed,
+        **asdict(report),
         "horizon": args.t,
     }
     if args.output:
@@ -216,7 +212,7 @@ def cmd_verify_dyn(args) -> int:
 
 
 def cmd_gram_demo(args) -> int:
-    report = gram_loss_demo(eta=args.eta)
+    report = gram_loss_demo(**_given(args, "eta"))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "eta": report.eta,
@@ -250,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("fixed", "absolute", "relative", "gap"))
     pa.add_argument("--k", type=int, default=None)
     pa.add_argument("--eta", type=float, default=None)
-    pa.add_argument("--f", type=float, default=1.0, help="srrqr bound f >= 1")
+    pa.add_argument("--f", type=float, help="srrqr bound f >= 1")
     pa.add_argument("--output", required=True, help="output JSON path")
     pa.set_defaults(func=cmd_analyze)
 
@@ -260,11 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--p", type=int, default=None)
     pg.add_argument("--zeta", type=float, default=None)
     pg.add_argument("--k", type=int, default=None)
-    pg.add_argument("--block-size", type=int, default=5)
-    pg.add_argument("--rho-range", type=float, nargs=2, default=(0.9, 0.99999))
-    pg.add_argument("--leading", type=float, nargs=2, default=(1e2, 1e3))
-    pg.add_argument("--trailing", type=float, nargs=2, default=(1e-10, 10 ** 1.9))
-    pg.add_argument("--spacing", choices=("uniform", "logspace"), default=None)
+    pg.add_argument("--block-size", type=int, default=generators.JOLLIFFE_BLOCK_SIZE)
+    pg.add_argument("--rho-range", type=float, nargs=2,
+                    default=generators.JOLLIFFE_RHO_RANGE)
+    pg.add_argument("--leading", type=float, nargs=2)
+    pg.add_argument("--trailing", type=float, nargs=2)
+    pg.add_argument("--spacing", choices=("uniform", "logspace"))
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--format", choices=("csv", "matrixmarket"), default="csv")
     pg.add_argument("--output", required=True)
@@ -278,21 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_bench)
 
     ps = sub.add_parser("svir", help="write the SVIR sensitivity matrix")
-    ps.add_argument("--beta", type=float, default=0.80)
-    ps.add_argument("--nu", type=float, default=0.004)
-    ps.add_argument("--alpha", type=float, default=0.10)
-    ps.add_argument("--gamma", type=float, default=0.14)
-    ps.add_argument("--n-total", type=float, default=1e5)
-    ps.add_argument("--i0", type=float, default=10.0)
-    ps.add_argument("--s0", type=float, default=None,
-                    help="default: n_total - i0")
-    ps.add_argument("--v0", type=float, default=0.0)
-    ps.add_argument("--r0", type=float, default=0.0)
-    ps.add_argument("--days", type=int, default=30,
-                    help="daily grid t = 0..days")
-    ps.add_argument("--substeps", type=int, default=100)
+    ps.add_argument("--beta", type=float)
+    ps.add_argument("--nu", type=float)
+    ps.add_argument("--alpha", type=float)
+    ps.add_argument("--gamma", type=float)
+    ps.add_argument("--n-total", type=float)
+    ps.add_argument("--i0", type=float)
+    ps.add_argument("--s0", dest="s", type=float)
+    ps.add_argument("--v0", dest="v", type=float)
+    ps.add_argument("--r0", dest="r", type=float)
+    ps.add_argument("--days", type=int, help="daily grid t = 0..days")
+    ps.add_argument("--substeps", type=int, default=odesens.SVIR_SUBSTEPS)
     ps.add_argument("--method", choices=("central-fd", "complex-step"),
-                    default="complex-step")
+                    default=odesens.DEFAULT_SENS_METHOD.kind)
     ps.add_argument("--step", type=float, default=None)
     ps.add_argument("--format", choices=("csv", "matrixmarket"), default="csv")
     ps.add_argument("--output", required=True)
@@ -304,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--svd", required=True,
                     help="JSON file with keys u, sigma, v")
     pv.add_argument("--t", type=float, default=1.0, help="horizon T > 0")
-    pv.add_argument("--tol", type=float, default=1e-10)
+    pv.add_argument("--tol", type=float)
     pv.add_argument("--seed", type=int, default=0,
                     help="seed for the probe parameter vector")
     pv.add_argument("--output", default=None, help="optional output JSON")
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("gram-demo",
                         help="Gram-matrix precision loss demonstration")
-    pd.add_argument("--eta", type=float, default=1e-12)
+    pd.add_argument("--eta", type=float)
     pd.add_argument("--output", default=None)
     pd.set_defaults(func=cmd_gram_demo)
 

@@ -58,7 +58,7 @@ class RankPolicy:
             raise InputDomainError(f"unknown rank policy mode {self.mode!r}")
         if self.mode == "fixed" and (self.k is None or self.k < 1):
             raise InputDomainError("fixed rank policy needs k >= 1")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise InputDomainError("eta must be nonnegative")
 
     @classmethod
@@ -130,7 +130,7 @@ class SrrqrConfig:
     max_swaps: int | None = None
 
     def __post_init__(self):
-        if self.f < 1.0:
+        if not self.f >= 1.0:
             raise InputDomainError("srrqr needs f >= 1")
         if self.max_swaps is not None and self.max_swaps < 1:
             raise InputDomainError("max_swaps must be positive")

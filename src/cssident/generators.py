@@ -12,6 +12,13 @@ exponent ('uniform' spacing); 'logspace' places a deterministic
 logarithmically spaced grid.  This keeps the ill-conditioning these
 families are designed around (average condition numbers near 1e14),
 which a linear-uniform draw misses by more than ten orders of magnitude.
+
+:func:`realize` is the one reader of a generator description (a bench
+spec's ``generator``, a ``generate`` sidecar's params).  A key left out
+takes the default of the generator it feeds, written once in that
+generator's signature, in SpectrumSpec or in a module constant here.  A
+missing key or a range failing ``lo <= hi`` (as NaN does) raises
+InputDomainError.
 """
 from __future__ import annotations
 
@@ -24,6 +31,26 @@ from .errors import InputDomainError
 from .linalg import _nonneg_diag, qr_unpivoted
 
 FAMILIES = ("kahan", "gu_eisenstat", "jolliffe", "sorensen_embree", "ships")
+
+# the seed draws the whole matrix (kahan, gu_eisenstat: only zeta)
+SEEDED_FAMILIES = ("jolliffe", "sorensen_embree", "ships")
+# the families realize accepts and the keys each description must carry
+REQUIRED_KEYS = {"identity": ("n",), "gaussian": ("n", "p"), "kahan": ("n",),
+                 "gu_eisenstat": ("n",), "jolliffe": ("n", "p"), "ships": ("n", "p"),
+                 "sorensen_embree": ("n", "p", "spectrum")}
+ZETA_RANGE = (0.9, 0.99999)
+JOLLIFFE_BLOCK_SIZE = 5
+JOLLIFFE_RHO_RANGE = (0.9, 0.99999)
+SHIPS_SPACING = "logspace"
+
+
+def _check_range(name: str, bounds, lower: float = -np.inf) -> tuple[float, float]:
+    """(lo, hi) with lower < lo <= hi and a finite width; NaN fails it."""
+    lo, hi = bounds
+    if not (lower < lo <= hi and hi - lo < np.inf):
+        need = "lo <= hi" if lower == -np.inf else f"{lower:g} < lo <= hi"
+        raise InputDomainError(f"{name} needs {need}, got {tuple(bounds)}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -40,9 +67,9 @@ class SpectrumSpec:
     spacing: str = "uniform"
 
     def __post_init__(self):
-        for lo, hi in (self.leading, self.trailing):
-            if not (0 < lo <= hi):
-                raise InputDomainError("spectrum ranges need 0 < lo <= hi")
+        for name in ("leading", "trailing"):
+            bounds = _check_range(f"spectrum {name}", getattr(self, name), lower=0)
+            object.__setattr__(self, name, bounds)
         if self.spacing not in ("uniform", "logspace"):
             raise InputDomainError(f"unknown spacing {self.spacing!r}")
 
@@ -100,9 +127,15 @@ def gu_eisenstat_mu(n: int, zeta: float) -> float:
     1/||e_i^T (D K)^{-1}||_2, divided by sqrt(n - 2)."""
     m = n - 3
     dk = gen_kahan(m, zeta)
-    inv = sla.solve_triangular(dk, np.eye(m))
-    row_norms = np.linalg.norm(inv, axis=1)
-    return float(np.min(1.0 / row_norms) / np.sqrt(n - 2))
+    mu = 0.0  # at a singular D K, or row norms past the double range
+    if dk[-1, -1] > 0:
+        inv = sla.solve_triangular(dk, np.eye(m))
+        with np.errstate(over="ignore"):
+            row_norms = np.linalg.norm(inv, axis=1)
+        mu = float(np.min(1.0 / row_norms) / np.sqrt(n - 2))
+    if not mu > 0:
+        raise InputDomainError(f"gu_eisenstat mu underflows at zeta={zeta}, n={n}")
+    return mu
 
 
 def gen_gu_eisenstat(n: int, zeta: float) -> np.ndarray:
@@ -148,8 +181,8 @@ def block_correlation_matrix(p: int, block_size: int, rho_values) -> np.ndarray:
     return lam
 
 
-def gen_jolliffe(n: int, p: int, block_size: int = 5,
-                 rho_range: tuple[float, float] = (0.9, 0.99999),
+def gen_jolliffe(n: int, p: int, block_size: int = JOLLIFFE_BLOCK_SIZE,
+                 rho_range: tuple[float, float] = JOLLIFFE_RHO_RANGE,
                  spec: SpectrumSpec | None = None, seed=0,
                  return_parts: bool = False):
     """Block-correlation family: U Sigma V^T with V from a QR of the
@@ -161,8 +194,9 @@ def gen_jolliffe(n: int, p: int, block_size: int = 5,
     """
     if block_size < 1:
         raise InputDomainError(f"block_size must be >= 1, got {block_size}")
-    if rho_range[0] > rho_range[1]:
-        raise InputDomainError(f"rho_range needs lo <= hi, got {tuple(rho_range)}")
+    lo, hi = _check_range("rho_range", rho_range)
+    if p > n:
+        raise InputDomainError(f"jolliffe needs p <= n, got {n}x{p}")
     if p % block_size != 0:
         raise InputDomainError(
             f"p={p} must be divisible by block_size={block_size}"
@@ -172,7 +206,7 @@ def gen_jolliffe(n: int, p: int, block_size: int = 5,
     rng = np.random.default_rng(seed)
     sigma = spec.sample(p, rng)
     u = _haar(rng, n, p)
-    rho = rng.uniform(rho_range[0], rho_range[1], n_blocks)
+    rho = rng.uniform(lo, hi, n_blocks)
     lam = block_correlation_matrix(p, block_size, rho)
     v = qr_unpivoted(lam).q
     s = _compose(u, sigma, v)
@@ -225,7 +259,7 @@ def gen_ships(n: int, p: int, spec: SpectrumSpec | None = None, seed=0,
     The spectrum is logarithmically spaced by default.  Draw order:
     spectrum, U, U~, fill.
     """
-    spec = spec or SpectrumSpec(k=20, spacing="logspace")
+    spec = spec or SpectrumSpec(k=20, spacing=SHIPS_SPACING)
     k = spec.k
     if not 1 <= k < p <= n:
         raise InputDomainError(f"need k < p <= n, got k={k}, p={p}, n={n}")
@@ -256,8 +290,54 @@ def designated_k(family: str, n: int | None = None, p: int | None = None,
         return int(n) - 1
     if family == "gu_eisenstat":
         return int(n) - 2
-    if family in ("jolliffe", "sorensen_embree", "ships"):
+    if family in SEEDED_FAMILIES:
         if k is None:
             raise InputDomainError(f"{family} needs an explicit k")
         return int(k)
     raise InputDomainError(f"unknown family {family!r}")
+
+
+def spectrum_spec(family: str, d: dict) -> SpectrumSpec:
+    """SpectrumSpec of a description's 'spectrum' entry (ships: SHIPS_SPACING)."""
+    _require(f"{family} spectrum", d, ("k",))
+    defaults = {"spacing": SHIPS_SPACING} if family == "ships" else {}
+    return SpectrumSpec(**(defaults | dict(d, k=int(d["k"]))))
+
+
+def _require(what: str, params: dict, keys) -> None:
+    for key in keys:
+        if key not in params:
+            raise InputDomainError(f"{what} needs key {key!r}")
+
+
+def realize(generator: dict, seed: int) -> np.ndarray:
+    """Draw one matrix from a generator description: a 'family' key, that
+    family's ``REQUIRED_KEYS`` and any optional parameters (layouts in the
+    bench spec schema).  The same description and seed give the same bytes.
+    """
+    params = dict(generator)
+    family = params.pop("family", None)
+    if family is None:
+        raise InputDomainError("generator description needs a 'family'")
+    if family not in REQUIRED_KEYS:
+        raise InputDomainError(f"unknown generator family {family!r}")
+    _require(family, params, REQUIRED_KEYS[family])
+    n, rng = int(params["n"]), np.random.default_rng(seed)
+    if family == "identity":
+        return np.eye(n, int(params.get("p", n)))
+    if family == "gaussian":
+        return rng.standard_normal((n, int(params["p"])))
+    if family not in SEEDED_FAMILIES:  # kahan, gu_eisenstat
+        zeta = params.get("zeta")
+        if zeta is None:
+            bounds = _check_range("zeta_range", params.get("zeta_range", ZETA_RANGE))
+            zeta = rng.uniform(*bounds)
+        return (gen_kahan if family == "kahan" else gen_gu_eisenstat)(n, float(zeta))
+    p = int(params["p"])
+    spec = spectrum_spec(family, params["spectrum"]) if "spectrum" in params else None
+    if family == "jolliffe":
+        options = {key: convert(params[key]) for key, convert in
+                   (("block_size", int), ("rho_range", tuple)) if key in params}
+        return gen_jolliffe(n, p, spec=spec, seed=seed, **options)
+    generate = gen_sorensen_embree if family == "sorensen_embree" else gen_ships
+    return generate(n, p, spec, seed)

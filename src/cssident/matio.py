@@ -45,7 +45,8 @@ def write_matrixmarket(a, path) -> None:
 
 def read_matrixmarket(path) -> np.ndarray:
     """Read a dense real MatrixMarket array file."""
-    text = Path(path).read_text()
+    # an undecodable byte becomes U+FFFD, which no number parses as
+    text = Path(path).read_text(errors="replace")
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("%%MatrixMarket"):
@@ -83,8 +84,8 @@ def read_matrix(path) -> np.ndarray:
     p = Path(path)
     if not p.is_file():
         raise InputDomainError(f"no such file: {path}")
-    with p.open() as fh:
+    with p.open("rb") as fh:
         first = fh.readline()
-    if first.startswith("%%MatrixMarket"):
+    if first.startswith(b"%%MatrixMarket"):
         return read_matrixmarket(p)
     return read_csv(p)

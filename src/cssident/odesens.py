@@ -121,6 +121,10 @@ class SensMethod:
         return cls(kind="complex-step", step=step)
 
 
+DEFAULT_SENS_METHOD = SensMethod.complex_step()
+SVIR_SUBSTEPS = 100
+
+
 def svir_rhs(state, params, n_total: float | None = None):
     """Time derivative of (S, V, I, R), exactly as printed.
 
@@ -206,15 +210,16 @@ def _infectious_trajectories(qs: np.ndarray, ic: SvirState, grid: TimeGrid,
 def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
                      grid: TimeGrid | None = None,
                      method: SensMethod | None = None,
-                     substeps: int = 100) -> np.ndarray:
+                     substeps: int = SVIR_SUBSTEPS) -> np.ndarray:
     """n x 4 sensitivity of I(t_i) to (beta, nu, alpha, gamma).
 
     central-fd perturbs each parameter by step*max(|q_j|, 1e-8) on both
     sides; complex-step evaluates Im f(q + ih e_j)/h with absolute step h.
+    Defaults: default_initial_state(), DEFAULT_GRID, DEFAULT_SENS_METHOD.
     """
     ic = ic or default_initial_state()
     grid = grid or DEFAULT_GRID
-    method = method or SensMethod.complex_step()
+    method = method or DEFAULT_SENS_METHOD
     if len(grid) < 4:
         raise InputDomainError("sensitivity grid needs at least 4 observations")
     q0 = params.as_array()

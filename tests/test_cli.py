@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -81,6 +82,29 @@ class TestAnalyze:
                        "--algorithm", "b1", "--k-policy", "fixed",
                        "--output", str(tmp_path / "o.json")) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--algorithm", "srrqr", "--f", "nan", "--k-policy", "fixed", "--k", "1"),
+         "srrqr needs f >= 1"),
+        (("--algorithm", "b1", "--k-policy", "absolute", "--eta", "nan"),
+         "eta must be nonnegative"),
+    ])
+    def test_nan_bound_exits_2(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "chi.csv"
+        write_csv(np.arange(1.0, 7.0).reshape(3, 2) ** 2, path)
+        assert run_cli("analyze", "--input", str(path), *argv,
+                       "--output", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name, text", [
+        ("chi.csv", b"1,2\n3,\xff\n"),
+        ("chi.mtx", b"%%MatrixMarket matrix array real general\n2 1\n1\n\xff\n"),
+    ])
+    def test_undecodable_input_exits_2(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text)
+        assert run_cli("analyze", "--input", str(path), "--algorithm", "b1",
+                       "--output", str(tmp_path / "o.json")) == 2
+
 
 class TestGenerate:
     def test_kahan_csv_upper_triangular(self, tmp_path):
@@ -155,6 +179,10 @@ class TestGenerateMatchesRealize:
          "block_size must be >= 1, got -5"),
         ("jolliffe", ("--n", "20", "--p", "10", "--k", "2", "--rho-range", "0.5", "0.1"),
          "rho_range needs lo <= hi, got (0.5, 0.1)"),
+        ("jolliffe", ("--n", "20", "--p", "10", "--k", "2", "--rho-range", "nan", "0.5"),
+         "rho_range needs lo <= hi, got (nan, 0.5)"),
+        ("ships", ("--n", "20", "--p", "10", "--k", "2", "--trailing", "1e-3", "nan"),
+         "spectrum trailing needs 0 < lo <= hi, got (0.001, nan)"),
     ])
     def test_missing_flag_exits_2(self, tmp_path, capsys, family, argv, message):
         assert run_cli("generate", "--family", family, *argv,
@@ -346,6 +374,53 @@ class TestBench:
         assert len(rows) == 4
         assert {r["error"] for r in rows} == {
             "generator: zeta_range needs lo <= hi, got (0.99, 0.9)"}
+
+    @pytest.mark.parametrize("generator, message", [
+        ({"family": "gaussian", "n": 5}, "gaussian needs key 'p'"),
+        ({"family": "kahan"}, "kahan needs key 'n'"),
+        ({"family": "identity"}, "identity needs key 'n'"),
+        ({"family": "ships", "n": 10}, "ships needs key 'p'"),
+        ({"family": "sorensen_embree", "n": 10, "p": 5},
+         "sorensen_embree needs key 'spectrum'"),
+        ({"family": "kahan", "n": 10, "zeta_range": [math.nan, 0.95]},
+         "zeta_range needs lo <= hi, got (nan, 0.95)"),
+        ({"family": "jolliffe", "n": 20, "p": 10, "rho_range": [math.nan, 0.95]},
+         "rho_range needs lo <= hi, got (nan, 0.95)"),
+    ])
+    def test_rejected_description_records_generator_errors(self, tmp_path,
+                                                            generator, message):
+        spec = self._write_spec(tmp_path, {
+            "generator": generator,
+            "algorithms": ["b1", "srrqr"],
+            "k_policy": {"mode": "fixed", "k": 2},
+            "realizations": 2,
+        })
+        out = tmp_path / "o"
+        assert run_cli("bench", "--spec", str(spec), "--out-dir", str(out)) == 0
+        rows = read_rows_csv(out / "rows.csv")
+        assert len(rows) == 4
+        assert {r["error"] for r in rows} == {f"generator: {message}"}
+
+    def test_nan_f_records_errors(self, tmp_path):
+        spec = self._write_spec(tmp_path, {
+            "generator": {"family": "gaussian", "n": 8, "p": 4},
+            "algorithms": ["b1", "srrqr"],
+            "k_policy": {"mode": "fixed", "k": 2},
+            "realizations": 2,
+            "f": {"srrqr": math.nan},
+        })
+        out = tmp_path / "o"
+        assert run_cli("bench", "--spec", str(spec), "--out-dir", str(out)) == 0
+        rows = read_rows_csv(out / "rows.csv")
+        assert [r["error"] for r in rows if r["algorithm"] == "srrqr"] == [
+            "srrqr needs f >= 1"] * 2
+        assert not any(r["error"] for r in rows if r["algorithm"] == "b1")
+
+    def test_undecodable_spec_exits_2(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"generator": "\xff"}')
+        assert run_cli("bench", "--spec", str(spec),
+                       "--out-dir", str(tmp_path / "o")) == 2
 
     def test_rerun_csv_byte_identical(self, tmp_path):
         spec = self._write_spec(tmp_path, {

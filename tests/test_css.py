@@ -42,6 +42,11 @@ class TestSelectK:
     def test_fixed(self):
         assert select_k([3.0, 2.0, 1.0], RankPolicy.fixed(2)).k == 2
 
+    @pytest.mark.parametrize("eta", (-1e-3, float("nan")))
+    def test_eta_domain(self, eta):
+        with pytest.raises(InputDomainError, match="eta must be nonnegative"):
+            RankPolicy.absolute(eta)
+
     def test_gap_dominant_ratio(self):
         sel = select_k([100.0, 99.0, 1e-6, 1e-7], RankPolicy.gap())
         assert sel.k == 2
@@ -390,6 +395,12 @@ class TestCssSrrqr:
     def test_singular_initial_block(self, caution_matrix):
         with pytest.raises(NumericalFailureError):
             css_srrqr(caution_matrix, 3, SrrqrConfig(f=1.0))
+
+    @pytest.mark.parametrize("f", (0.5, float("nan")))
+    def test_f_domain(self, f):
+        # NaN would otherwise spend the whole swap budget unconverged
+        with pytest.raises(InputDomainError, match="f >= 1"):
+            SrrqrConfig(f=f)
 
 
 class TestRunCss:

@@ -1,6 +1,13 @@
+import math
+
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import cssident.bench
 
 from cssident import (
     InputDomainError,
@@ -14,10 +21,13 @@ from cssident import (
     gen_sorensen_embree,
     haar_orthonormal,
 )
+from cssident.cli import load_schema
 from cssident.generators import (
+    REQUIRED_KEYS,
     block_correlation_matrix,
     correlation_block,
     gu_eisenstat_mu,
+    realize,
     ships_v11,
     sorensen_embree_pattern,
 )
@@ -99,6 +109,12 @@ class TestGuEisenstat:
         with pytest.raises(InputDomainError):
             gen_gu_eisenstat(4, 0.5)
 
+    @pytest.mark.parametrize("n, zeta", ((12, 5.8e-308), (6, 6e-143)))
+    def test_mu_underflow_is_input_error(self, n, zeta):
+        # zeta^(n-4) is 0, or the inverse's row norms pass the double range
+        with pytest.raises(InputDomainError, match="mu underflows"):
+            gen_gu_eisenstat(n, zeta)
+
 
 class TestJolliffe:
     def test_correlation_block(self):
@@ -117,6 +133,16 @@ class TestJolliffe:
     def test_divisibility(self):
         with pytest.raises(InputDomainError):
             gen_jolliffe(20, 10, block_size=3, seed=0)
+
+    def test_needs_tall(self):
+        with pytest.raises(InputDomainError, match="p <= n"):
+            gen_jolliffe(6, 10, block_size=5, seed=0)
+
+    @pytest.mark.parametrize("rho_range", ((0.5, 0.1), (math.nan, 0.5),
+                                           (0.5, math.nan), (0.5, math.inf)))
+    def test_rho_range_domain(self, rho_range):
+        with pytest.raises(InputDomainError, match="rho_range needs lo <= hi"):
+            gen_jolliffe(20, 10, rho_range=rho_range, seed=0)
 
     def test_deterministic(self):
         a = gen_jolliffe(30, 10, block_size=5, seed=9)
@@ -203,6 +229,15 @@ class TestSpectrumSpec:
         with pytest.raises(InputDomainError):
             SpectrumSpec(k=2, spacing="linear")
 
+    @pytest.mark.parametrize("bounds", ((math.nan, 1.0), (1.0, math.nan),
+                                        (0.0, 1.0), (1.0, math.inf)))
+    def test_nan_and_unbounded_ranges_rejected(self, bounds):
+        with pytest.raises(InputDomainError, match="0 < lo <= hi"):
+            SpectrumSpec(k=2, trailing=bounds)
+
+    def test_accepts_json_lists(self):
+        assert SpectrumSpec(k=2, leading=[1, 2]) == SpectrumSpec(k=2, leading=(1, 2))
+
 
 def test_designated_k():
     assert designated_k("kahan", n=100) == 99
@@ -212,3 +247,103 @@ def test_designated_k():
         designated_k("jolliffe")
     with pytest.raises(InputDomainError):
         designated_k("unknown")
+
+
+class TestRealize:
+    """``realize`` reads a generator description, as bench specs hold it."""
+
+    def test_bench_binds_the_same_function(self):
+        assert cssident.bench.realize is realize
+        assert cssident.realize is realize
+
+    def test_schema_families_are_the_accepted_families(self):
+        schema = load_schema("bench_spec.schema.json")
+        family = schema["properties"]["generator"]["properties"]["family"]
+        assert set(family["enum"]) == set(REQUIRED_KEYS)
+
+    @pytest.mark.parametrize("generator, message", [
+        ({"family": "gaussian", "n": 5}, "gaussian needs key 'p'"),
+        ({"family": "kahan"}, "kahan needs key 'n'"),
+        ({"family": "identity"}, "identity needs key 'n'"),
+        ({"family": "ships", "n": 10}, "ships needs key 'p'"),
+        ({"family": "sorensen_embree", "n": 10, "p": 5},
+         "sorensen_embree needs key 'spectrum'"),
+        ({"family": "ships", "n": 10, "p": 5, "spectrum": {}},
+         "ships spectrum needs key 'k'"),
+    ])
+    def test_missing_key_names_family_and_key(self, generator, message):
+        with pytest.raises(InputDomainError) as err:
+            realize(generator, 0)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("generator, message", [
+        ({"family": "kahan", "n": 6, "zeta_range": [math.nan, 0.95]},
+         "zeta_range needs lo <= hi, got (nan, 0.95)"),
+        ({"family": "gu_eisenstat", "n": 6, "zeta_range": [0.9, math.nan]},
+         "zeta_range needs lo <= hi, got (0.9, nan)"),
+        ({"family": "jolliffe", "n": 20, "p": 10, "rho_range": [math.nan, 0.95]},
+         "rho_range needs lo <= hi, got (nan, 0.95)"),
+        ({"family": "ships", "n": 20, "p": 10,
+          "spectrum": {"k": 3, "leading": [math.nan, 5.0]}},
+         "spectrum leading needs 0 < lo <= hi, got (nan, 5.0)"),
+    ])
+    def test_nan_range_is_input_error(self, generator, message):
+        with pytest.raises(InputDomainError) as err:
+            realize(generator, 0)
+        assert str(err.value) == message
+
+    def test_left_out_keys_take_the_generators_defaults(self):
+        spec = SpectrumSpec(k=2)
+        assert np.array_equal(
+            realize({"family": "jolliffe", "n": 30, "p": 10}, 3),
+            gen_jolliffe(30, 10, seed=3))
+        assert np.array_equal(
+            realize({"family": "sorensen_embree", "n": 30, "p": 10,
+                     "spectrum": {"k": 2}}, 3),
+            gen_sorensen_embree(30, 10, spec, seed=3))
+        assert np.array_equal(
+            realize({"family": "ships", "n": 30, "p": 10, "spectrum": {"k": 2}}, 3),
+            gen_ships(30, 10, SpectrumSpec(k=2, spacing="logspace"), seed=3))
+
+
+_GENERATOR_SCHEMA = load_schema("bench_spec.schema.json")["properties"]["generator"]
+_GENERATOR_VALIDATOR = jsonschema.Draft202012Validator(_GENERATOR_SCHEMA)
+_SIZE = st.integers(1, 12)
+_NUMBER = st.one_of(st.floats(), st.integers(-10**6, 10**6))
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
+_DESCRIPTIONS = st.fixed_dictionaries(
+    {"family": st.sampled_from(_GENERATOR_SCHEMA["properties"]["family"]["enum"])},
+    optional={
+        "n": _SIZE,
+        "p": _SIZE,
+        "zeta": st.floats(0, 1, exclude_min=True, exclude_max=True),
+        "zeta_range": _PAIR,
+        "block_size": _SIZE,
+        "rho_range": _PAIR,
+        "spectrum": st.fixed_dictionaries({"k": _SIZE}, optional={
+            "leading": _PAIR,
+            "trailing": _PAIR,
+            "spacing": st.sampled_from(["uniform", "logspace"]),
+        }),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(generator=_DESCRIPTIONS, seed=st.integers(0, 2**32 - 1))
+def test_realize_is_a_finite_matrix_or_an_input_error(generator, seed):
+    """Any description the bench schema accepts (n, p <= 12, ranges with
+    NaN and infinities) gives a finite matrix of the described shape,
+    byte-identical for the same seed, or an InputDomainError."""
+    _GENERATOR_VALIDATOR.validate(generator)
+    try:
+        first = realize(generator, seed)
+    except InputDomainError:
+        return
+    n = generator["n"]
+    square = generator["family"] in ("kahan", "gu_eisenstat")
+    p = n if square else generator.get("p", n)
+    assert first.shape == (n, p)
+    assert np.all(np.isfinite(first))
+    assert realize(generator, seed).tobytes() == first.tobytes()

@@ -64,6 +64,17 @@ def test_malformed_inputs(tmp_path):
         read_matrix(missing)
 
 
+@pytest.mark.parametrize("name, text", [
+    ("bad.csv", b"1,2\n3,\xff\n"),
+    ("bad.mtx", b"%%MatrixMarket matrix array real general\n2 1\n1\n\xff\n"),
+])
+def test_undecodable_file_is_input_error(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text)
+    with pytest.raises(InputDomainError):
+        read_matrix(path)
+
+
 def test_unknown_format(tmp_path):
     with pytest.raises(InputDomainError):
         write_matrix(np.eye(2), tmp_path / "x", "parquet")
