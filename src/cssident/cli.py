@@ -322,7 +322,8 @@ def main(argv=None) -> int:
     except InputDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalFailureError, IntegrationFailureError) as exc:
+    except (NumericalFailureError, IntegrationFailureError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -31,7 +31,7 @@ from .linalg import (
     QrFactors,
     SvdFactors,
     _nonneg_diag,
-    _pow2_scale,
+    _pow2_exponent,
     check_matrix,
     qr_col_pivoted,
     qr_unpivoted,
@@ -283,7 +283,7 @@ def css_b1(chi, k: int) -> CssResult:
     q, r, perm = _working(qr_unpivoted(arr))
     p = arr.shape[1]
     if p > _B1_SMALL:
-        scale = _pow2_scale(r)
+        e = _pow2_exponent(r)
         # fixed start vectors, so that reruns take the same route
         start = np.random.default_rng(0).standard_normal((p, _B1_BLOCK))
         fresh = start[:, 0]
@@ -294,7 +294,7 @@ def css_b1(chi, k: int) -> CssResult:
         if skip:
             skip -= 1
         elif ell > _B1_SMALL and np.all(np.diag(r)[:ell] != 0.0):
-            m, ritz, used = _b1_certified_argmax(r[:ell, :ell] * scale, start)
+            m, ritz, used = _b1_certified_argmax(np.ldexp(r[:ell, :ell], -e), start)
             sweeps += used
             failed = 0 if m is not None else failed + 1
             skip = 2 ** (failed - 2) - 1 if failed >= 2 else 0
@@ -416,7 +416,7 @@ def srrqr_rho(r, k: int, i: int, j: int) -> float:
 def _rho_matrix(r, k: int) -> np.ndarray:
     # rho is invariant under scaling r; the exact power-of-two scale keeps
     # the row and column norms below from over- or underflowing
-    r = r * _pow2_scale(r)
+    r = np.ldexp(r, -_pow2_exponent(r))
     r11, r12, r22 = r[:k, :k], r[:k, k:], r[k:, k:]
     a = sla.solve_triangular(r11, r12)
     rinv = sla.solve_triangular(r11, np.eye(k))

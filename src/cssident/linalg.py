@@ -75,9 +75,9 @@ class QrFactors:
         Both norms are taken of copies scaled by the same exact power of
         two, so their squares cannot over- or underflow.
         """
-        scale = _pow2_scale(a)
-        num = float(np.linalg.norm((a[:, self.perm] - self.q @ self.r) * scale))
-        den = float(np.linalg.norm(a * scale))
+        e = _pow2_exponent(a)
+        num = float(np.linalg.norm(np.ldexp(a[:, self.perm] - self.q @ self.r, -e)))
+        den = float(np.linalg.norm(np.ldexp(a, -e)))
         return num / den if den > 0 else num
 
     def validate(self, a: np.ndarray) -> None:
@@ -114,10 +114,11 @@ def _nonneg_diag(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s, np.triu(r * s[:, None])
 
 
-def _pow2_scale(a: np.ndarray) -> float:
-    # exact power of two that brings max|a| into [0.5, 1); scaling by it
-    # changes no bits of a result unless squares would over- or underflow
-    return float(np.ldexp(1.0, -np.frexp(np.max(np.abs(a)))[1]))
+def _pow2_exponent(a: np.ndarray) -> int:
+    # e with max|a| 2^-e in [0.5, 1); np.ldexp(a, -e) changes no bits of a
+    # result unless squares would over- or underflow.  The exponent, not the
+    # factor 2^-e, is returned: for max|a| < 2^-1022 that factor is inf
+    return int(np.frexp(np.max(np.abs(a)))[1])
 
 
 def qr_unpivoted(a) -> QrFactors:
@@ -145,8 +146,8 @@ def qr_col_pivoted(a) -> QrFactors:
     arr = check_matrix(a)
     _require_tall(arr, "qr_col_pivoted")
     n, p = arr.shape
-    scale = _pow2_scale(arr)
-    r = arr * scale
+    e = _pow2_exponent(arr)
+    r = np.ldexp(arr, -e)
     perm = identity_perm(p)
     reflectors: list[tuple[int, np.ndarray] | None] = []
     for j in range(p):
@@ -172,7 +173,7 @@ def qr_col_pivoted(a) -> QrFactors:
             continue
         j, v = item
         q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-    q, r = _nonneg_diag(q, np.triu(r[:p, :]) / scale)
+    q, r = _nonneg_diag(q, np.ldexp(np.triu(r[:p, :]), e))
     return QrFactors(perm=perm, q=q, r=r)
 
 

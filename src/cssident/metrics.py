@@ -23,7 +23,7 @@ import scipy.linalg as sla
 from .config import RECON_TOL, RESIDUAL_DEFICIENCY_FACTOR, SRRQR_TIE_SLACK, rank_cutoff
 from .css import CssResult, v11_inverse_norm
 from .errors import InputDomainError
-from .linalg import SvdFactors, _pow2_scale, check_matrix, residual_norm, svd
+from .linalg import SvdFactors, _pow2_exponent, check_matrix, residual_norm, svd
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,16 @@ class BoundCheck:
     slack: float
 
 
-def _check(name, lhs, rhs, sense, slack, scale=1.0) -> BoundCheck:
-    # decided on values scaled by the exact power of two ``scale`` and
-    # reported in input units; Python floats overflow to inf silently
+def _check(name, lhs, rhs, sense, slack, e=0) -> BoundCheck:
+    # decided on values scaled by the exact power of two 2^-e and reported
+    # in input units, as inf past the double range
     if sense == "le":
         ok = lhs <= rhs + slack
     else:
         ok = lhs >= rhs - slack
-    return BoundCheck(name=name, satisfied=bool(ok), lhs=float(lhs) / scale,
-                      rhs=float(rhs) / scale, sense=sense,
-                      slack=float(slack) / scale)
+    return BoundCheck(name=name, satisfied=bool(ok), lhs=_ldexp_or_inf(lhs, e),
+                      rhs=_ldexp_or_inf(rhs, e), sense=sense,
+                      slack=_ldexp_or_inf(slack, e))
 
 
 def _ldexp_or_inf(x: float, e: int) -> float:
@@ -167,19 +167,19 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult) -> list[BoundCh
     ``b1-diag-l`` (|r_ll| <= sqrt(l) sigma_l for l = k+1..p) and the
     ``b1-residual-upper-proof-form`` that follows from it.
     """
-    scale = _pow2_scale(chi_svd.sigma)
-    sigma = (chi_svd.sigma * scale).tolist()
+    e = _pow2_exponent(chi_svd.sigma)
+    sigma = np.ldexp(chi_svd.sigma, -e).tolist()
     p = len(sigma)
     k = result.k
     slack = 1e-8 * sigma[0]
-    r = result.factors.r * scale
+    r = np.ldexp(result.factors.r, -e)
     r11 = r[:k, :k]
     r22 = r[k:, k:]
     s_r11 = np.linalg.svd(r11, compute_uv=False).tolist()
     s_r22 = np.linalg.svd(r22, compute_uv=False).tolist()
 
     def check(name, lhs, rhs, sense):
-        return _check(name, lhs, rhs, sense, slack, scale)
+        return _check(name, lhs, rhs, sense, slack, e)
 
     checks = []
     for j in range(k):
@@ -215,7 +215,7 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult) -> list[BoundCh
         if v11_inv is None:
             v11_inv = v11_inverse_norm(chi_svd, result.perm, k)
         checks.append(_check("b3-v11-inverse-cap", v11_inv, _ldexp_or_inf(1.0, k - 1),
-                             "le", slack / scale))
+                             "le", _ldexp_or_inf(slack, e)))
         checks.append(check("b3-sigmak-lower", s_r11[-1], sigma[k - 1] / v11_inv, "ge"))
         checks.append(check("b3-residual-upper", s_r22[0], v11_inv * sigma[k], "le"))
     elif alg == "srrqr":
@@ -259,6 +259,8 @@ def gram_loss_demo(eta: float = 1e-12) -> GramLossReport:
     threshold eta.  Eigenvalues are squared singular values, so the
     eigenvalue-route threshold is eta^2 * lambda_1.
     """
+    if not eta >= 0:
+        raise InputDomainError("eta must be nonnegative")
     chi = np.array([[1.0, 1.0], [1e-9, 0.0], [0.0, 1e-9]])
     gram = chi.T @ chi
     eigvals = np.linalg.eigvalsh(gram)[::-1]

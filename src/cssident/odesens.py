@@ -1,6 +1,9 @@
 """Sensitivity matrices from the SVIR compartment model, and a linear
 dynamical system realizing a prescribed sensitivity SVD.
 
+An SVIR state is an array whose first axis is (S, V, I, R); trailing
+axes hold independent trajectories, which :func:`integrate` steps as one.
+
 The SVIR right-hand side is implemented exactly as printed in the source
 model: the susceptible equation carries no -nu*S term, so the total
 population is not conserved; d(S+V+I+R)/dt = nu*S along trajectories.
@@ -30,7 +33,7 @@ class SvirParams:
 
     def __post_init__(self):
         vals = (self.beta, self.nu, self.alpha, self.gamma)
-        if any(not np.isfinite(v) or np.real(v) < 0 for v in vals):
+        if any(not np.isfinite(v) or v < 0 for v in vals):
             raise InputDomainError("SVIR parameters must be nonnegative and finite")
 
     def as_array(self, dtype=float) -> np.ndarray:
@@ -38,7 +41,7 @@ class SvirParams:
 
     @classmethod
     def from_array(cls, q) -> "SvirParams":
-        beta, nu, alpha, gamma = (float(np.real(x)) for x in q)
+        beta, nu, alpha, gamma = (float(x) for x in q)
         return cls(beta=beta, nu=nu, alpha=alpha, gamma=gamma)
 
 
@@ -55,11 +58,13 @@ class SvirState:
     v: float
     i: float
     r: float
-    n: float = 1e5
+    n: float
 
     def __post_init__(self):
-        if not np.isfinite(self.n) or self.n <= 0:
-            raise InputDomainError("population N must be positive and finite")
+        if not (np.all(np.isfinite((self.s, self.v, self.i, self.r, self.n)))
+                and self.n > 0):
+            raise InputDomainError(
+                "S, V, I, R and N must be finite, and N must be positive")
 
     def as_array(self, dtype=float) -> np.ndarray:
         return np.array([self.s, self.v, self.i, self.r], dtype=dtype)
@@ -125,54 +130,36 @@ DEFAULT_SENS_METHOD = SensMethod.complex_step()
 SVIR_SUBSTEPS = 100
 
 
-def svir_rhs(state, params, n_total: float | None = None):
+def svir_rhs(x: np.ndarray, q: np.ndarray, n_total: float) -> np.ndarray:
     """Time derivative of (S, V, I, R), exactly as printed.
 
-    ``state`` may be an :class:`SvirState` or an array whose first axis
-    is (S, V, I, R) (real or complex); arrays are required for
-    complex-step evaluation.  ``params`` is an :class:`SvirParams` or an
-    array whose first axis is (beta, nu, alpha, gamma).  Trailing axes of
-    the arrays index independent trajectories and broadcast together.
+    ``x`` is an array whose first axis is (S, V, I, R) and ``q`` one whose
+    first axis is (beta, nu, alpha, gamma), real or complex; their
+    trailing axes index independent trajectories and broadcast together.
     """
-    if isinstance(state, SvirState):
-        x = state.as_array()
-        n_total = state.n
-    else:
-        x = np.asarray(state)
-        if n_total is None:
-            raise InputDomainError("array state needs an explicit n_total")
     s, v, i, r = x
-    beta, nu, alpha, gamma = (
-        (params.beta, params.nu, params.alpha, params.gamma)
-        if isinstance(params, SvirParams) else params
-    )
+    beta, nu, alpha, gamma = q
     infection_s = beta * i * s / n_total
     infection_v = alpha * beta * i * v / n_total
-    return np.array(
-        [-infection_s,
-         nu * s - infection_v,
-         infection_s + infection_v - gamma * i,
-         gamma * i],
-        dtype=np.result_type(x.dtype, float),
-    )
+    return np.array([-infection_s, nu * s - infection_v,
+                     infection_s + infection_v - gamma * i, gamma * i])
 
 
-def integrate(rhs, x0, grid: TimeGrid, substeps: int = 100) -> np.ndarray:
+def integrate(rhs, x0, grid: TimeGrid, substeps: int) -> np.ndarray:
     """Classical fixed-step RK4 over the grid.
 
-    ``rhs(t, x)`` must return dx/dt; each grid interval is split into
-    ``substeps`` uniform steps.  Works on real and complex states.  The
-    first output row is x0 at grid.times[0].
+    ``rhs(t, x)`` must return dx/dt with the shape of ``x``; each grid
+    interval is split into ``substeps`` uniform steps.  The state may have
+    any shape and be real or complex.  Returns len(grid) x x0.shape, whose
+    first entry is x0 at grid.times[0].
     """
     if substeps < 1:
         raise InputDomainError("substeps must be >= 1")
     x = np.asarray(x0)
-    if x.ndim != 1:
-        raise InputDomainError("x0 must be a 1-D state vector")
     dtype = np.result_type(x.dtype, float)
     x = x.astype(dtype)
     times = grid.times
-    out = np.empty((times.size, x.size), dtype=dtype)
+    out = np.empty((times.size, *x.shape), dtype=dtype)
     out[0] = x
     for idx in range(times.size - 1):
         h = (times[idx + 1] - times[idx]) / substeps
@@ -186,9 +173,7 @@ def integrate(rhs, x0, grid: TimeGrid, substeps: int = 100) -> np.ndarray:
             t = t + h
             if not np.all(np.isfinite(x)):
                 raise IntegrationFailureError(
-                    f"non-finite state at t={float(np.real(t)):.6g}",
-                    time=float(np.real(t)),
-                )
+                    f"non-finite state at t={t:.6g}", time=float(t))
         out[idx + 1] = x
     return out
 
@@ -196,15 +181,10 @@ def integrate(rhs, x0, grid: TimeGrid, substeps: int = 100) -> np.ndarray:
 def _infectious_trajectories(qs: np.ndarray, ic: SvirState, grid: TimeGrid,
                              substeps: int) -> np.ndarray:
     # I(t) for every column of the 4 x m parameter array qs, integrated as
-    # one flattened 4m state; returns len(grid) x m
-    m = qs.shape[1]
-    x0 = np.repeat(ic.as_array(qs.dtype)[:, None], m, axis=1)
-
-    def rhs(_t, x):
-        return svir_rhs(x.reshape(4, m), qs, ic.n).ravel()
-
-    traj = integrate(rhs, x0.ravel(), grid, substeps)
-    return traj.reshape(-1, 4, m)[:, 2, :]
+    # one 4 x m state; returns len(grid) x m
+    x0 = np.repeat(ic.as_array(qs.dtype)[:, None], qs.shape[1], axis=1)
+    traj = integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)
+    return traj[:, 2]
 
 
 def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
@@ -245,10 +225,9 @@ def population_defect(params: SvirParams, ic: SvirState, grid: TimeGrid,
     ``reference_integral`` must be an accurate value of integral(S dt);
     the defect then isolates the RK4 error of the trajectory itself.
     """
-    def rhs(_t, x):
-        return svir_rhs(x, params, ic.n)
-
-    traj = integrate(rhs, ic.as_array(), grid, substeps)
+    q = params.as_array()
+    traj = integrate(lambda _t, x: svir_rhs(x, q, ic.n), ic.as_array(), grid,
+                     substeps)
     total_change = float(traj[-1].sum() - traj[0].sum())
     return abs(total_change - params.nu * reference_integral)
 
@@ -256,9 +235,10 @@ def population_defect(params: SvirParams, ic: SvirState, grid: TimeGrid,
 def susceptible_integral(params: SvirParams, ic: SvirState, grid: TimeGrid,
                          substeps: int = 800) -> float:
     """integral of S dt over the grid, via an augmented quadrature state."""
+    q = params.as_array()
+
     def rhs(_t, x):
-        d = svir_rhs(x[:4], params, ic.n)
-        return np.concatenate([d, x[:1]])
+        return np.concatenate([svir_rhs(x[:4], q, ic.n), x[:1]])
 
     x0 = np.concatenate([ic.as_array(), [0.0]])
     traj = integrate(rhs, x0, grid, substeps)
@@ -300,10 +280,10 @@ def build_prescribed_system(factors: SvdFactors, horizon: float) -> PrescribedSy
 
     The factors must be u n x p, sigma of length p and v p x p.  Zero
     singular values are rejected: the logarithm is undefined and the
-    construction has no limit there.
+    construction has no limit there; so are infinite and NaN ones.
     """
-    if not horizon > 0:
-        raise InputDomainError("horizon T must be positive")
+    if not 0 < horizon < np.inf:
+        raise InputDomainError("horizon T must be positive and finite")
     u = np.asarray(factors.u, dtype=float)
     sigma = np.asarray(factors.sigma, dtype=float)
     v = np.asarray(factors.v, dtype=float)
@@ -313,9 +293,9 @@ def build_prescribed_system(factors: SvdFactors, horizon: float) -> PrescribedSy
             "prescribed system needs u n x p, sigma of length p and v p x p, "
             f"got u {u.shape}, sigma {sigma.shape}, v {v.shape}"
         )
-    if np.any(sigma <= 0.0):
+    if not np.all((sigma > 0.0) & (sigma < np.inf)):
         raise InputDomainError(
-            "prescribed system needs strictly positive singular values"
+            "prescribed system needs finite, strictly positive singular values"
         )
     lam = np.log(sigma) / horizon
     return PrescribedSystem(lam=lam, u=u, v=v, horizon=horizon)
@@ -330,12 +310,11 @@ def observe_prescribed(system: PrescribedSystem, q, t: float) -> np.ndarray:
 def observe_prescribed_integrated(system: PrescribedSystem, q, t: float,
                                   substeps: int = 2000) -> np.ndarray:
     """Same observation through RK4 integration (closed-form cross-check)."""
+    if not t >= 0:
+        raise InputDomainError("observation time t must be nonnegative")
     q = np.asarray(q, dtype=float)
-    x0 = system.v.T @ q
     grid = TimeGrid(np.array([0.0, t]) if t > 0 else np.array([0.0]))
-    if t == 0:
-        return system.u @ x0
-    traj = integrate(lambda _t, x: system.lam * x, x0, grid, substeps)
+    traj = integrate(lambda _t, x: system.lam * x, system.v.T @ q, grid, substeps)
     return system.u @ traj[-1]
 
 
@@ -354,6 +333,8 @@ def verify_prescribed_sensitivity(system: PrescribedSystem, q,
     The observation is linear in q, so the check is h-independent up to
     roundoff; steps of max(1, |q_j|) keep the subtraction well scaled.
     """
+    if not tol >= 0:
+        raise InputDomainError("tol must be nonnegative")
     q = np.asarray(q, dtype=float)
     p = q.size
     target = system.u @ (system.sigma[:, None] * system.v.T)

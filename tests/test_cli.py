@@ -77,6 +77,23 @@ class TestAnalyze:
                        "--algorithm", "b1", "--k-policy", "gap",
                        "--output", str(tmp_path / "o.json")) == 2
 
+    def test_unwritable_output_exits_2(self, identity_csv, tmp_path, capsys):
+        assert run_cli("analyze", "--input", str(identity_csv), "--algorithm", "b1",
+                       "--output", str(tmp_path / "missing" / "o.json")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_svd_failure_exits_3(self, tmp_path, capsys):
+        # LAPACK's SVD does not converge on these entries; LinAlgError is a
+        # ValueError, but a numerical failure, not an input error
+        path = tmp_path / "huge.csv"
+        write_csv(np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]), path)
+        for algorithm in ALGORITHMS:
+            with np.errstate(all="ignore"):
+                assert run_cli("analyze", "--input", str(path), "--algorithm", algorithm,
+                               "--k-policy", "fixed", "--k", "1",
+                               "--output", str(tmp_path / "o.json")) == 3, algorithm
+            assert capsys.readouterr().err.startswith("numerical failure: ")
+
     def test_fixed_policy_requires_k(self, identity_csv, tmp_path):
         assert run_cli("analyze", "--input", str(identity_csv),
                        "--algorithm", "b1", "--k-policy", "fixed",
@@ -259,6 +276,27 @@ class TestScaledInput:
                 payload = json.loads(out.read_text())
                 splits.append((payload["identifiable"], payload["unidentifiable"]))
             assert splits[0] == splits[1], algorithm
+
+    def test_subnormal_input(self, tmp_path):
+        # max|chi| < 2^-1022, where the factor 2^-e of the scaling is inf;
+        # the split and every bound flag are those of chi * 2^1000
+        chi = np.array([[1e-310, 2e-310], [3e-310, -1e-310], [5e-311, 7e-310]])
+        for scale, name in ((0, "tiny"), (1000, "normal")):
+            write_csv(np.ldexp(chi, scale), tmp_path / f"{name}.csv")
+        for algorithm in ALGORITHMS:
+            payloads = []
+            for name in ("tiny", "normal"):
+                out = tmp_path / f"{name}-{algorithm}.json"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    assert run_cli("analyze", "--input", str(tmp_path / f"{name}.csv"),
+                                   "--algorithm", algorithm, "--k-policy", "fixed",
+                                   "--k", "1", "--output", str(out)) == 0
+                payloads.append(json.loads(out.read_text()))
+            tiny, normal = payloads
+            assert tiny["identifiable"] == normal["identifiable"], algorithm
+            assert ([c["satisfied"] for c in tiny["bound_checks"]]
+                    == [c["satisfied"] for c in normal["bound_checks"]]), algorithm
 
 
 class TestBoundChecksAtLargeScale:
@@ -454,6 +492,17 @@ class TestSvir:
                            "--output", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", (("--i0", "nan"), ("--s0", "inf")))
+    def test_non_finite_initial_state_exits_2(self, tmp_path, capsys, flag, value):
+        assert run_cli("svir", flag, value, "--output", str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_blowup_exits_3(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert run_cli("svir", "--beta", "1e300", "--days", "4",
+                           "--output", str(tmp_path / "s.csv")) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
 
 class TestVerifyDyn:
     def _svd_file(self, tmp_path, sigma):
@@ -480,6 +529,13 @@ class TestVerifyDyn:
         path = self._svd_file(tmp_path, [1.0, 0.5, 0.0])
         assert run_cli("verify-dyn", "--svd", str(path), "--t", "1.0") == 2
 
+    @pytest.mark.parametrize("flag, value", (
+        ("--t", "inf"), ("--tol", "nan"), ("--tol", "-1"),
+    ))
+    def test_out_of_domain_flag_exits_2(self, tmp_path, flag, value):
+        path = self._svd_file(tmp_path, [1.0, 1.0, 1.0])
+        assert run_cli("verify-dyn", "--svd", str(path), flag, value) == 2
+
     def test_malformed_svd_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"u": [[1]]}')
@@ -505,3 +561,7 @@ class TestGramDemo:
         assert "gram_rank = 1" in text and "css_rank = 2" in text
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, load_schema("gram_demo_output.schema.json"))
+
+    @pytest.mark.parametrize("eta", ("nan", "-1"))
+    def test_out_of_domain_eta_exits_2(self, eta):
+        assert run_cli("gram-demo", "--eta", eta) == 2

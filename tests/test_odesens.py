@@ -27,15 +27,19 @@ from cssident.linalg import SvdFactors
 from cssident.odesens import population_defect, susceptible_integral
 
 
+def _rhs_of(state: SvirState, params: SvirParams) -> np.ndarray:
+    return svir_rhs(state.as_array(), params.as_array(), state.n)
+
+
 class TestSvirRhs:
     def test_no_infection_without_infectious(self):
         state = SvirState(s=1000.0, v=50.0, i=0.0, r=0.0, n=1e5)
-        d = svir_rhs(state, NOMINAL_SVIR)
+        d = _rhs_of(state, NOMINAL_SVIR)
         assert_allclose(d, [0.0, NOMINAL_SVIR.nu * 1000.0, 0.0, 0.0])
 
     def test_zero_parameters(self):
         state = SvirState(s=10.0, v=10.0, i=10.0, r=10.0, n=100.0)
-        d = svir_rhs(state, SvirParams(beta=0.0, nu=0.0, alpha=0.0, gamma=0.0))
+        d = _rhs_of(state, SvirParams(beta=0.0, nu=0.0, alpha=0.0, gamma=0.0))
         assert_allclose(d, np.zeros(4))
 
     def test_equal_compartments_hand_check(self):
@@ -43,7 +47,7 @@ class TestSvirRhs:
         n = 1e5
         quarter = n / 4.0
         state = SvirState(s=quarter, v=quarter, i=quarter, r=quarter, n=n)
-        d = svir_rhs(state, NOMINAL_SVIR)
+        d = _rhs_of(state, NOMINAL_SVIR)
         infection_s = 0.80 * quarter * quarter / n          # 5000
         infection_v = 0.10 * 0.80 * quarter * quarter / n   # 500
         expected = [
@@ -54,9 +58,18 @@ class TestSvirRhs:
         ]
         assert_allclose(d, expected, rtol=1e-14)
 
-    def test_array_state_needs_population(self):
+
+class TestSvirState:
+    @pytest.mark.parametrize("field", ("s", "v", "i", "r", "n"))
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_non_finite_rejected(self, field, value):
+        counts = {"s": 1.0, "v": 0.0, "i": 1.0, "r": 0.0, "n": 2.0}
         with pytest.raises(InputDomainError):
-            svir_rhs(np.ones(4), NOMINAL_SVIR)
+            SvirState(**(counts | {field: value}))
+
+    def test_population_must_be_positive(self):
+        with pytest.raises(InputDomainError):
+            SvirState(s=1.0, v=0.0, i=1.0, r=0.0, n=0.0)
 
 
 class TestIntegrate:
@@ -79,11 +92,25 @@ class TestIntegrate:
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
         assert all(3.8 <= o <= 4.2 for o in orders)
 
+    def test_state_of_any_shape(self):
+        # a 2 x 3 state steps as six independent scalar trajectories
+        rates = np.array([[-1.0, -0.5, 0.0], [0.25, -2.0, 1.0]])
+        x0 = np.arange(1.0, 7.0).reshape(2, 3)
+        grid = TimeGrid.days(4)
+        traj = integrate(lambda t, x: rates * x, x0, grid, substeps=7)
+        assert traj.shape == (4, 2, 3)
+        np.testing.assert_array_equal(traj[0], x0)
+        for a in range(2):
+            for b in range(3):
+                one = integrate(lambda t, x: rates[a, b] * x, x0[a, b], grid, 7)
+                np.testing.assert_array_equal(traj[:, a, b], one)
+
     def test_svir_trajectory_stays_physical(self):
         ic = default_initial_state()
+        q = NOMINAL_SVIR.as_array()
 
         def rhs(t, x):
-            return svir_rhs(x, NOMINAL_SVIR, ic.n)
+            return svir_rhs(x, q, ic.n)
 
         traj = integrate(rhs, ic.as_array(), TimeGrid.days(31), substeps=100)
         assert np.all(np.isfinite(traj))
@@ -231,9 +258,21 @@ class TestPrescribedSystem:
         with pytest.raises(InputDomainError):
             build_prescribed_system(fac, horizon=1.0)
 
+    @pytest.mark.parametrize("bad", (np.inf, np.nan))
+    def test_rejects_non_finite_singular_value(self, bad):
+        fac = _seeded_factors(2, 4, 2)
+        fac = SvdFactors(u=fac.u, sigma=np.array([bad, 1.0]), v=fac.v)
+        with pytest.raises(InputDomainError):
+            build_prescribed_system(fac, horizon=1.0)
+
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(InputDomainError):
             build_prescribed_system(_seeded_factors(3, 4, 2), horizon=0.0)
+
+    @pytest.mark.parametrize("horizon", (np.inf, np.nan))
+    def test_rejects_infinite_or_nan_horizon(self, horizon):
+        with pytest.raises(InputDomainError):
+            build_prescribed_system(_seeded_factors(3, 4, 2), horizon=horizon)
 
     def test_observation_at_origin_and_linearity(self):
         system = build_prescribed_system(_seeded_factors(4, 8, 5), horizon=1.0)
@@ -252,6 +291,13 @@ class TestPrescribedSystem:
                                                tol=1e-12)
         assert report.passed and report.rel_error <= 1e-12
 
+    @pytest.mark.parametrize("tol", (np.nan, -1.0))
+    def test_verification_rejects_tol(self, tol):
+        fac = SvdFactors(u=np.eye(3), sigma=np.ones(3), v=np.eye(3))
+        system = build_prescribed_system(fac, horizon=1.0)
+        with pytest.raises(InputDomainError):
+            verify_prescribed_sensitivity(system, np.ones(3), tol=tol)
+
     def test_verification_seeded(self):
         system = build_prescribed_system(_seeded_factors(5, 8, 5), horizon=1.0)
         q = np.random.default_rng(6).standard_normal(5)
@@ -266,3 +312,15 @@ class TestPrescribedSystem:
         closed = observe_prescribed(system, q, 0.8)
         numeric = observe_prescribed_integrated(system, q, 0.8)
         assert np.linalg.norm(closed - numeric) <= 1e-8 * np.linalg.norm(closed)
+
+    def test_integrated_observation_time_domain(self):
+        # sigma (2, 0.5) at T = 1; the closed form at t = -1 is (0.5, 2)
+        fac = SvdFactors(u=np.eye(2), sigma=np.array([2.0, 0.5]), v=np.eye(2))
+        system = build_prescribed_system(fac, horizon=1.0)
+        q = np.ones(2)
+        assert_allclose(observe_prescribed(system, q, -1.0), [0.5, 2.0])
+        for t in (-1.0, np.nan):
+            with pytest.raises(InputDomainError):
+                observe_prescribed_integrated(system, q, t)
+        np.testing.assert_array_equal(
+            observe_prescribed_integrated(system, q, 0.0), q)
