@@ -13,9 +13,11 @@ lowest index.
 b1 picks each column from the smallest right singular vector of the
 leading block R11.  A block inverse iteration with triangular solves
 estimates it, and the exact SVD of R11 decides every step whose pick the
-iteration cannot certify, so the picks, and hence the factors, are those of
-an SVD at every step (see :func:`css_b1`).  b4 and b3 take an SVD of the
-trailing block at every step.
+iteration cannot certify.  The picks, and hence the factors, are then those
+of an SVD at every step, provided the start block has a component along the
+wanted vector: the acceptance test assumes this, and it was checked on the
+golden input pools, not proved (see :func:`css_b1`).  b4 and b3 take an SVD
+of the trailing block at every step.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import scipy.linalg as sla
 from .config import SRRQR_TIE_SLACK
 from .errors import InputDomainError, NumericalFailureError
 from .linalg import (
+    _EPS,
     QrFactors,
     SvdFactors,
     _nonneg_diag,
@@ -202,7 +205,6 @@ _B1_BLOCK = 4
 _B1_MAX_SWEEPS = 16
 _B1_SMALL = 12
 _B1_SAFETY = 8.0
-_EPS = float(np.finfo(float).eps)
 
 
 def _b1_certified_argmax(block, start):
@@ -274,10 +276,14 @@ def css_b1(chi, k: int) -> CssResult:
     also for blocks of 12 or fewer columns, a zero diagonal entry or
     non-finite solves.  After f >= 2 uncertified steps in a row the SVD
     also decides the next 2^(f-2) - 1 steps, which bounds the work spent
-    where a spectrum stays clustered.  Both routes pick the same m on
-    certified steps and the exchange is the same, so the factors do not
-    depend on which route ran.  ``extras`` counts the steps the SVD decided
-    (``svd_fallbacks``) and the sweeps run (``solve_sweeps``).
+    where a spectrum stays clustered.  On certified steps both routes pick
+    the same m and the exchange is the same, so the factors do not depend on
+    which route ran, as long as the start block has a component along the
+    wanted vector.  The error bound assumes that: from a start block with
+    that vector projected out the iteration converges to another one and
+    can certify a wrong pick.  The warm starts met it on every golden input
+    pool, which is a check, not a proof.  ``extras`` counts the steps the
+    SVD decided (``svd_fallbacks``) and the sweeps run (``solve_sweeps``).
     """
     arr = _check_css_input(chi, k)
     q, r, perm = _working(qr_unpivoted(arr))

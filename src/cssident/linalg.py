@@ -10,9 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .config import ORTH_TOL, RECON_TOL, rank_cutoff
 from .errors import InputDomainError, NumericalFailureError
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -134,20 +138,11 @@ def qr_unpivoted(a) -> QrFactors:
     return QrFactors(perm=identity_perm(arr.shape[1]), q=q, r=r)
 
 
-def qr_col_pivoted(a) -> QrFactors:
-    """Householder QR with classical greedy max-column-norm pivoting.
-
-    At each step the pivot is the remaining column with the largest
-    2-norm, recomputed from the updated trailing block; ties break to the
-    lowest index.  |diag(r)| is nonincreasing.  The factorization runs on
-    a copy scaled by an exact power of two, so the column norms cannot
-    over- or underflow and the pivots do not depend on the input's units.
-    """
-    arr = check_matrix(a)
-    _require_tall(arr, "qr_col_pivoted")
-    n, p = arr.shape
-    e = _pow2_exponent(arr)
-    r = np.ldexp(arr, -e)
+def _householder_pivoted(r: np.ndarray):
+    # greedy max-column-norm Householder QR of the tall matrix r, in place:
+    # norms recomputed from the trailing block, ties to the lowest index;
+    # returns (q, upper triangular r, perm) with no sign fix
+    n, p = r.shape
     perm = identity_perm(p)
     reflectors: list[tuple[int, np.ndarray] | None] = []
     for j in range(p):
@@ -173,7 +168,88 @@ def qr_col_pivoted(a) -> QrFactors:
             continue
         j, v = item
         q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-    q, r = _nonneg_diag(q, np.ldexp(np.triu(r[:p, :]), e))
+    return q, np.triu(r[:p, :]), perm
+
+
+def _rounding_bound(n: int, norm_a, norm_b):
+    # how far apart two trailing column norms of an n-row matrix may be
+    # computed by two backward-stable factorizations, given the columns'
+    # input norms
+    return 16.0 * n * _EPS * (norm_a + norm_b)
+
+
+def _certified_prefix(r: np.ndarray, col_norms: np.ndarray, n: int) -> int:
+    # number J of leading pivots of the pivoted factor r (columns in pivot
+    # order, col_norms their input norms) that the greedy loop chooses as
+    # well: at every step j < J the pivot's trailing norm ||r[j:, j]|| beats
+    # every other ||r[j:, c]|| by more than the rounding bound, which covers
+    # both factorizations' errors in those norms unless their squares
+    # underflow
+    p = r.shape[1]
+    squares = np.cumsum((r * r)[::-1], axis=0)[::-1]
+    others = np.where(np.triu(np.ones((p, p), dtype=bool), 1), squares, -1.0)[:-1]
+    runner = np.argmax(others, axis=1)
+    steps = np.arange(p - 1)
+    margin = np.sqrt(squares[steps, steps]) - np.sqrt(others[steps, runner])
+    certified = margin > _rounding_bound(n, col_norms[:-1], col_norms[runner])
+    failed = np.flatnonzero(~certified)
+    return int(failed[0]) if failed.size else p
+
+
+def _replay_swaps(piv: np.ndarray, steps: int) -> np.ndarray:
+    # column order after the first ``steps`` pivot swaps of the greedy loop,
+    # which swaps position j with the current position of column piv[j]
+    order = identity_perm(piv.size)
+    where = identity_perm(piv.size)
+    for j in range(steps):
+        m, c = where[piv[j]], order[j]
+        order[j], order[m] = piv[j], c
+        where[piv[j]], where[c] = j, m
+    return order
+
+
+def qr_col_pivoted(a) -> QrFactors:
+    """Householder QR with classical greedy max-column-norm pivoting.
+
+    At each step the pivot is the remaining column with the largest
+    2-norm of the updated trailing block; ties break to the lowest index.
+    |diag(r)| is nonincreasing.  The factorization runs on a copy scaled
+    by an exact power of two, so the column norms cannot over- or
+    underflow and the pivots do not depend on the input's units.
+
+    LAPACK's blocked pivoted QR (``dgeqp3``) computes the factorization,
+    and its pivots are kept for as long as each one beats the runner-up by
+    more than a rounding bound of 16 n eps (||a_pivot|| + ||a_runner||);
+    the trailing norms are read from its R.  From the first step that
+    bound does not certify, a Householder loop with norms recomputed from
+    the trailing block and lowest-index ties decides the rest, on LAPACK's
+    trailing block.  When the two largest input columns already lie within
+    the bound (Kahan matrices, equal-norm columns), that loop factors the
+    whole input.  Pivots among trailing norms below the rounding level are
+    set by rounding.
+    """
+    arr = check_matrix(a)
+    _require_tall(arr, "qr_col_pivoted")
+    n, p = arr.shape
+    e = _pow2_exponent(arr)
+    s = np.ldexp(arr, -e)
+    col_norms = np.linalg.norm(s, axis=0)
+    top = np.sort(col_norms)[-2:]
+    if p > 1 and top[1] - top[0] <= _rounding_bound(n, top[1], top[0]):
+        q, r, perm = _householder_pivoted(s)
+    else:
+        q, r, perm = sla.qr(s, mode="economic", pivoting=True, check_finite=False)
+        perm = perm.astype(int)
+        done = _certified_prefix(r, col_norms[perm], n)
+        if done < p:
+            # the loop's column order at step `done`, as columns of r
+            cols = np.argsort(perm)[_replay_swaps(perm, done)]
+            q2, r2, perm2 = _householder_pivoted(r[done:, cols[done:]])
+            cols[done:] = cols[done:][perm2]
+            perm, r = perm[cols], r[:, cols]
+            r[done:, done:] = r2
+            q[:, done:] = q[:, done:] @ q2
+    q, r = _nonneg_diag(q, np.ldexp(r, e))
     return QrFactors(perm=perm, q=q, r=r)
 
 

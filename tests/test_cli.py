@@ -504,6 +504,24 @@ class TestSvir:
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+    @pytest.mark.parametrize("method", ("central-fd", "complex-step"))
+    def test_infinite_step_exits_2(self, tmp_path, capsys, method):
+        assert run_cli("svir", "--method", method, "--step", "inf",
+                       "--output", str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag, value", (("--beta", "1e300"), ("--step", "1e308")))
+    def test_blowup_reports_one_line_and_no_warning(self, tmp_path, capsys, flag, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("svir", flag, value, "--days", "4",
+                           "--output", str(tmp_path / "s.csv"))
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+
 class TestVerifyDyn:
     def _svd_file(self, tmp_path, sigma):
         payload = {

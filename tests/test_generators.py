@@ -329,8 +329,7 @@ _DESCRIPTIONS = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(generator=_DESCRIPTIONS, seed=st.integers(0, 2**32 - 1))
 def test_realize_is_a_finite_matrix_or_an_input_error(generator, seed):
     """Any description the bench schema accepts (n, p <= 12, ranges with

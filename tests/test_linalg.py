@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cssident import (
+    NOMINAL_SVIR,
     InputDomainError,
     condition_number,
     gen_kahan,
+    linalg,
     qr_col_pivoted,
     qr_unpivoted,
     residual_norm,
     svd,
+    svir_sensitivity,
 )
-from cssident.linalg import orthonormal_range
+from cssident.generators import realize
+from cssident.linalg import _EPS, _nonneg_diag, _pow2_exponent, orthonormal_range
 
 
 class TestQrUnpivoted:
@@ -85,6 +92,166 @@ class TestQrColPivoted:
     def test_tie_breaks_to_lowest_index(self):
         fac = qr_col_pivoted(np.eye(4))
         assert list(fac.perm) == [0, 1, 2, 3]
+
+
+def _greedy_loop_reference(a):
+    """Greedy max-column-norm Householder QR on the power-of-two-scaled
+    input, norms recomputed per step, ties to the lowest index: the
+    factorization qr_col_pivoted must reproduce.  Returns (perm, q, r)."""
+    n, p = a.shape
+    e = _pow2_exponent(a)
+    r = np.ldexp(a, -e)
+    perm = np.arange(p)
+    reflectors = []
+    for j in range(p):
+        m = j + int(np.argmax(np.linalg.norm(r[j:, j:], axis=0)))
+        r[:, [j, m]] = r[:, [m, j]]
+        perm[[j, m]] = perm[[m, j]]
+        x = r[j:, j]
+        normx = np.linalg.norm(x)
+        if normx == 0.0:
+            continue
+        v = x.copy()
+        v[0] += normx if v[0] >= 0 else -normx
+        v /= np.linalg.norm(v)
+        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
+        r[j + 1:, j] = 0.0
+        reflectors.append((j, v))
+    q = np.eye(n, p)
+    for j, v in reversed(reflectors):
+        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
+    q, r = _nonneg_diag(q, np.ldexp(np.triu(r[:p, :]), e))
+    return perm, q, r
+
+
+def _shapes_the_loop_ran_on(monkeypatch, a):
+    # qr_col_pivoted(a), and the shape of every block its greedy loop factored
+    shapes = []
+    loop = linalg._householder_pivoted
+
+    def spy(block):
+        shapes.append(block.shape)
+        return loop(block)
+
+    monkeypatch.setattr(linalg, "_householder_pivoted", spy)
+    return qr_col_pivoted(a), shapes
+
+
+def _ships(n, p):
+    return realize({"family": "ships", "n": n, "p": p, "spectrum": {"k": p // 5}}, 0)
+
+
+def _equal_leading_norms():
+    # columns 0 and 1 hold the same entries in reverse order, column 2 has
+    # half their norm
+    a = np.random.default_rng(4).standard_normal((6, 3))
+    a[:, 1] = a[::-1, 0]
+    a[:, 2] *= 0.5 * np.linalg.norm(a[:, 0]) / np.linalg.norm(a[:, 2])
+    return a
+
+
+class TestQrColPivotedRoutes:
+    """LAPACK's certified pivots, the loop on the uncertified rest, or the
+    loop alone on a step-0 tie: each route gives the reference's perm."""
+
+    @pytest.mark.parametrize("a", (
+        realize({"family": "gaussian", "n": 31, "p": 4}, 0),
+        svir_sensitivity(NOMINAL_SVIR),
+    ), ids=("gaussian-31x4", "svir-31x4"))
+    def test_fully_certified(self, monkeypatch, a):
+        fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
+        assert shapes == []
+        perm, _, r = _greedy_loop_reference(a)
+        assert np.array_equal(fac.perm, perm)
+        assert np.max(np.abs(fac.r - r)) <= 1e-13 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("n, p", ((200, 100), (400, 200)))
+    def test_certified_prefix_then_loop(self, monkeypatch, n, p):
+        a = _ships(n, p)
+        fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
+        assert len(shapes) == 1 and shapes[0][0] == shapes[0][1] < p
+        perm, _, r = _greedy_loop_reference(a)
+        assert np.array_equal(fac.perm, perm)
+        assert np.max(np.abs(fac.r - r)) <= 1e-13 * np.max(np.abs(r))
+        fac.validate(a)
+
+    def test_uncertified_pivot_is_redecided_in_the_loops_order(self, monkeypatch):
+        # columns y, w, z, b on disjoint rows, ||b|| > ||y|| = ||w|| > ||z||:
+        # the greedy loop takes b, swapping it with y, then w, which now sits
+        # before y, then y and z.  A pivoted QR that takes z second is caught
+        # by the certificate; the loop then redecides the exact tie between
+        # w and y from the column order after the first swap, not from the
+        # order that QR left (b, z, y, w)
+        a = np.zeros((6, 4))
+        a[2:4, 0] = [1.0, 2.0]
+        a[4:6, 1] = [2.0, 1.0]
+        a[1, 2] = 1.0
+        a[0, 3] = 3.0
+
+        def misordered_qr(s, **_):
+            piv = np.array([3, 2, 0, 1], dtype=np.int32)
+            return (*np.linalg.qr(s[:, piv]), piv)
+
+        monkeypatch.setattr(linalg.sla, "qr", misordered_qr)
+        fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
+        assert shapes == [(3, 3)]
+        assert list(fac.perm) == list(_greedy_loop_reference(a)[0]) == [3, 1, 0, 2]
+        fac.validate(a)
+
+    @pytest.mark.parametrize("a", (
+        realize({"family": "kahan", "n": 100, "zeta_range": [0.9, 0.99999]}, 0),
+        np.eye(3),
+        _equal_leading_norms(),
+    ), ids=("kahan-100", "eye-3", "equal-leading-norms"))
+    def test_step0_tie_is_the_loop_bit_for_bit(self, monkeypatch, a):
+        fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
+        assert shapes == [a.shape]
+        perm, q, r = _greedy_loop_reference(a)
+        assert np.array_equal(fac.perm, perm)
+        assert np.array_equal(fac.q, q) and np.array_equal(fac.r, r)
+
+
+# entries are 0 or at least 1e-3 in magnitude, so a 2^-600 scaling stays
+# exact even after the products of the low-rank draws; small integers make
+# exact ties between column norms common
+_ENTRY = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3).map(lambda x: x if abs(x) >= 1e-3 else 0.0),
+)
+
+
+@st.composite
+def _tall_matrices(draw):
+    n = draw(st.integers(1, 10))
+    p = draw(st.integers(1, n))
+    m = draw(st.integers(1, p))
+    kind = draw(st.sampled_from(("independent", "duplicated", "low-rank")))
+    if kind == "independent":
+        return draw(arrays(float, (n, p), elements=_ENTRY))
+    base = draw(arrays(float, (n, m), elements=_ENTRY))
+    if kind == "duplicated":
+        return base[:, draw(st.lists(st.integers(0, m - 1), min_size=p, max_size=p))]
+    return base @ draw(arrays(float, (m, p), elements=_ENTRY))
+
+
+@given(a=_tall_matrices())
+def test_qr_col_pivoted_properties(a):
+    """Valid factors with a nonnegative diagonal, greedy pivots up to
+    rounding, and a perm that does not move under a * 2^600 or a * 2^-600."""
+    n, p = a.shape
+    fac = qr_col_pivoted(a)
+    assert np.array_equal(np.sort(fac.perm), np.arange(p))
+    assert np.all(np.diag(fac.r) >= 0)
+    assert np.all(np.tril(fac.r, -1) == 0.0)
+    scale = max(float(np.max(np.linalg.norm(a, axis=0))), np.finfo(float).tiny)
+    assert np.linalg.norm(a[:, fac.perm] - fac.q @ fac.r) <= 1e-13 * scale * p
+    assert np.linalg.norm(fac.q.T @ fac.q - np.eye(p)) <= 1e-12
+    # |r_jj| >= ||r[j:, c]|| for every c > j, up to rounding
+    tail = np.sqrt(np.cumsum((fac.r ** 2)[::-1], axis=0)[::-1])
+    for j in range(p - 1):
+        assert np.diag(fac.r)[j] >= np.max(tail[j, j + 1:]) - 64 * n * _EPS * scale
+    for e in (600, -600):
+        assert np.array_equal(qr_col_pivoted(np.ldexp(a, e)).perm, fac.perm)
 
 
 class TestSvd:

@@ -144,6 +144,14 @@ class TestPopulationBookkeeping:
         assert defects[1] / defects[2] >= 8.0
 
 
+class TestSensMethod:
+    @pytest.mark.parametrize("kind", ("central-fd", "complex-step"))
+    @pytest.mark.parametrize("step", (0.0, -1e-6, np.inf, np.nan))
+    def test_step_must_be_positive_and_finite(self, kind, step):
+        with pytest.raises(InputDomainError):
+            SensMethod(kind, step)
+
+
 class TestSvirSensitivity:
     def test_disease_free_equilibrium_is_insensitive(self):
         ic = SvirState(s=1e5, v=0.0, i=0.0, r=0.0, n=1e5)
