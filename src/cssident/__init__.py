@@ -15,7 +15,6 @@ from .css import (
     css_b3,
     css_b4,
     css_srrqr,
-    leverage_scores,
     run_css,
     select_k,
     srrqr_rho,

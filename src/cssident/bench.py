@@ -24,13 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .config import SCHEMA_VERSION
+from .config import FLOAT_FMT, SCHEMA_VERSION
 from .css import ALGORITHMS, RankPolicy, SrrqrConfig, run_css
 from .errors import CssIdentError, InputDomainError
 from .generators import realize
 from .metrics import compute_metrics
-
-_FLOAT_FMT = "%.17g"
 
 CSV_COLUMNS = (
     "seed", "algorithm", "k", "tau", "gamma1", "gamma2",
@@ -63,7 +61,7 @@ class ExperimentSpec:
             generator=dict(d["generator"]),
             algorithms=tuple(a.lower() for a in d["algorithms"]),
             k_policy=RankPolicy(mode=policy["mode"], k=policy.get("k"),
-                                eta=float(policy.get("eta", RankPolicy.eta))),
+                                eta=policy.get("eta")),
             realizations=int(d["realizations"]),
             base_seed=int(d.get("base_seed", cls.base_seed)),
             f=dict(d.get("f", {})),
@@ -91,11 +89,10 @@ def _stats_of(values: list[float]) -> dict:
     if not values:
         return {name: None for name in _STAT_FIELDS} | {"count": 0}
     arr = np.asarray(values, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    q1, med, q3 = (
-        np.percentile(arr, (25, 50, 75)) if finite.size == arr.size
-        else _percentile_with_inf(arr)
-    )
+    # interpolation involving inf is ill-defined: then take order statistics
+    q1, med, q3 = np.percentile(
+        arr, (25, 50, 75),
+        method="linear" if np.all(np.isfinite(arr)) else "nearest")
     return {
         "mean": float(np.mean(arr)),
         "median": float(med),
@@ -105,13 +102,6 @@ def _stats_of(values: list[float]) -> dict:
         "q3": float(q3),
         "count": int(arr.size),
     }
-
-
-def _percentile_with_inf(arr: np.ndarray) -> tuple[float, float, float]:
-    # interpolation involving inf is ill-defined; fall back to order statistics
-    s = np.sort(arr)
-    idx = [int(round(q * (s.size - 1))) for q in (0.25, 0.5, 0.75)]
-    return s[idx[0]], s[idx[1]], s[idx[2]]
 
 
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
@@ -198,7 +188,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return _FLOAT_FMT % value
+        return FLOAT_FMT % value
     return str(value)
 
 
@@ -243,16 +233,12 @@ def json_safe(obj):
     return obj
 
 
-def report_as_dict(report: AggregateReport) -> dict:
-    return json_safe({
-        "schema_version": SCHEMA_VERSION,
-        "spec": report.spec.as_dict(),
-        "stats": report.stats,
-        "wall_time_s": report.wall_time_s,
-    })
+def write_json(payload: dict, path) -> None:
+    """Write ``payload`` as strict JSON, indented, ``schema_version`` first."""
+    document = json_safe({"schema_version": SCHEMA_VERSION} | payload)
+    Path(path).write_text(json.dumps(document, indent=2, allow_nan=False) + "\n")
 
 
 def write_report_json(report: AggregateReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_as_dict(report), indent=2, allow_nan=False) + "\n"
-    )
+    write_json({"spec": report.spec.as_dict(), "stats": report.stats,
+                "wall_time_s": report.wall_time_s}, path)

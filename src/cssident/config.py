@@ -10,6 +10,8 @@ constant, so results depend only on the input and the call's arguments:
     RESIDUAL_DEFICIENCY_FACTOR  gamma2's exact-deficiency margin
     SRRQR_TIE_SLACK             relative slack on srrqr's bound f
     SCHEMA_VERSION              version stamped into every JSON output
+    FLOAT_FMT                   17 significant digits, so every float
+                                written to a text file round-trips exactly
 """
 from __future__ import annotations
 
@@ -36,3 +38,5 @@ RESIDUAL_DEFICIENCY_FACTOR = 4.0
 SRRQR_TIE_SLACK = 1e-12
 
 SCHEMA_VERSION = "1"
+
+FLOAT_FMT = "%.17g"

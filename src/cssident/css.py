@@ -8,7 +8,9 @@ columns a <= b of the working QR factorization are swapped, the block
 diagonal, and the result is applied to ``r[a:end, end:]`` and
 ``q[:, a:end]``.  b1 and srrqr restore only the disturbed block (end = b + 1),
 b4 and b3 the whole trailing block (end = p).  Magnitude ties break to the
-lowest index.
+lowest index.  Every step runs on R scaled by the exact power of two that
+brings max|r| into [0.5, 1), and the result's R is scaled back, so each
+decision, ties included, is the same whatever the input's units.
 
 b1 picks each column from the smallest right singular vector of the
 leading block R11.  A block inverse iteration with triangular solves
@@ -35,6 +37,7 @@ from .linalg import (
     SvdFactors,
     _nonneg_diag,
     _pow2_exponent,
+    _require_tall,
     check_matrix,
     qr_col_pivoted,
     qr_unpivoted,
@@ -49,18 +52,22 @@ class RankPolicy:
     """How to pick the number k of identifiable parameters.
 
     mode is one of 'fixed', 'absolute', 'relative', 'gap'.  ``k`` is used
-    by 'fixed'; ``eta`` is the threshold for 'absolute'/'relative'.
+    by 'fixed', which requires it; ``eta`` is the threshold that 'absolute'
+    and 'relative' require, and the other modes record it as 0.0.
     """
 
     mode: str
     k: int | None = None
-    eta: float = 0.0
+    eta: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("fixed", "absolute", "relative", "gap"):
             raise InputDomainError(f"unknown rank policy mode {self.mode!r}")
         if self.mode == "fixed" and (self.k is None or self.k < 1):
             raise InputDomainError("fixed rank policy needs k >= 1")
+        if self.eta is None and self.mode in ("absolute", "relative"):
+            raise InputDomainError(f"{self.mode} rank policy needs eta")
+        object.__setattr__(self, "eta", float(self.eta or 0.0))
         if not self.eta >= 0:
             raise InputDomainError("eta must be nonnegative")
 
@@ -162,19 +169,19 @@ class CssResult:
 
 def _check_css_input(chi, k: int) -> np.ndarray:
     arr = check_matrix(chi)
-    n, p = arr.shape
-    if n < p:
-        raise InputDomainError(f"CSS requires rows >= cols, got {n}x{p}")
+    _require_tall(arr, "CSS")
+    p = arr.shape[1]
     if not 1 <= k < p:
         raise InputDomainError(f"k must satisfy 1 <= k < p, got k={k}, p={p}")
     return arr
 
 
-def _result(algorithm, k, perm, q, r, swap_count=0, extras=None):
+def _result(algorithm, k, perm, q, r, e, swap_count=0, extras=None):
+    # r comes from _working, scaled by 2^-e
     return CssResult(
         algorithm=algorithm,
         k=k,
-        factors=QrFactors(perm=perm, q=q, r=r),
+        factors=QrFactors(perm=perm, q=q, r=np.ldexp(r, e)),
         identifiable=tuple(int(j) for j in perm[:k]),
         unidentifiable=tuple(int(j) for j in perm[k:]),
         swap_count=swap_count,
@@ -183,8 +190,11 @@ def _result(algorithm, k, perm, q, r, swap_count=0, extras=None):
 
 
 def _working(fac: QrFactors):
-    # writable copies of frozen factors for the exchange steps
-    return fac.q.copy(), fac.r.copy(), fac.perm.copy()
+    # writable copies of frozen factors for the exchange steps, with r scaled
+    # by the exact power of two 2^-e that brings max|r| into [0.5, 1): every
+    # step then decides on the same r whatever the input's units
+    e = _pow2_exponent(fac.r)
+    return fac.q.copy(), np.ldexp(fac.r, -e), fac.perm.copy(), e
 
 
 def _exchange(q, r, perm, a: int, b: int, end: int) -> None:
@@ -286,10 +296,9 @@ def css_b1(chi, k: int) -> CssResult:
     SVD decided (``svd_fallbacks``) and the sweeps run (``solve_sweeps``).
     """
     arr = _check_css_input(chi, k)
-    q, r, perm = _working(qr_unpivoted(arr))
+    q, r, perm, e = _working(qr_unpivoted(arr))
     p = arr.shape[1]
     if p > _B1_SMALL:
-        e = _pow2_exponent(r)
         # fixed start vectors, so that reruns take the same route
         start = np.random.default_rng(0).standard_normal((p, _B1_BLOCK))
         fresh = start[:, 0]
@@ -300,7 +309,8 @@ def css_b1(chi, k: int) -> CssResult:
         if skip:
             skip -= 1
         elif ell > _B1_SMALL and np.all(np.diag(r)[:ell] != 0.0):
-            m, ritz, used = _b1_certified_argmax(np.ldexp(r[:ell, :ell], -e), start)
+            m, ritz, used = _b1_certified_argmax(np.ascontiguousarray(r[:ell, :ell]),
+                                                 start)
             sweeps += used
             failed = 0 if m is not None else failed + 1
             skip = 2 ** (failed - 2) - 1 if failed >= 2 else 0
@@ -316,7 +326,7 @@ def css_b1(chi, k: int) -> CssResult:
             start[m] = start[ell - 1]
             start = np.column_stack([start[: ell - 1], fresh[: ell - 1]])
     extras = {"svd_fallbacks": fallbacks, "solve_sweeps": sweeps}
-    return _result("b1", k, perm, q, r, extras=extras)
+    return _result("b1", k, perm, q, r, e, extras=extras)
 
 
 def _greedy_front(arr, k: int, subspace: bool):
@@ -324,13 +334,13 @@ def _greedy_front(arr, k: int, subspace: bool):
     # k-l+1 dominant ones (b3) of the trailing block, swap the column with
     # the largest norm in them to the front and re-QR the trailing block
     p = arr.shape[1]
-    q, r, perm = _working(qr_unpivoted(arr))
+    q, r, perm, e = _working(qr_unpivoted(arr))
     for i in range(k):
         _, _, vt = np.linalg.svd(r[i:, i:])
         w = vt[: k - i if subspace else 1]
         m = int(np.argmax(np.linalg.norm(w, axis=0)))
         _exchange(q, r, perm, i, i + m, p)
-    return q, r, perm
+    return q, r, perm, e
 
 
 def css_b4(chi, k: int) -> CssResult:
@@ -342,8 +352,8 @@ def css_b4(chi, k: int) -> CssResult:
     |r_ll| >= sigma_l / sqrt(p - l + 1).
     """
     arr = _check_css_input(chi, k)
-    q, r, perm = _greedy_front(arr, k, subspace=False)
-    return _result("b4", k, perm, q, r)
+    q, r, perm, e = _greedy_front(arr, k, subspace=False)
+    return _result("b4", k, perm, q, r, e)
 
 
 def css_b3(chi, k: int, chi_svd: SvdFactors | None = None) -> CssResult:
@@ -357,11 +367,11 @@ def css_b3(chi, k: int, chi_svd: SvdFactors | None = None) -> CssResult:
     when it is already known, otherwise it is computed here.
     """
     arr = _check_css_input(chi, k)
-    q, r, perm = _greedy_front(arr, k, subspace=True)
+    q, r, perm, e = _greedy_front(arr, k, subspace=True)
     if chi_svd is None:
         chi_svd = svd(arr)
     v11_inv = v11_inverse_norm(chi_svd, perm, k)
-    return _result("b3", k, perm, q, r, extras={"v11_inv_norm": v11_inv})
+    return _result("b3", k, perm, q, r, e, extras={"v11_inv_norm": v11_inv})
 
 
 def v11_inverse_norm(chi_svd: SvdFactors, perm, k: int) -> float:
@@ -374,19 +384,6 @@ def v11_inverse_norm(chi_svd: SvdFactors, perm, k: int) -> float:
     block = chi_svd.v[np.asarray(perm)[:k], :k]
     smin = np.linalg.svd(block, compute_uv=False)[-1]
     return float(1.0 / smin) if smin > 0 else float("inf")
-
-
-def leverage_scores(v_sub) -> np.ndarray:
-    """Squared row norms of a matrix with orthonormal columns.
-
-    The scores sum to the number of columns.  Input orthonormality is
-    checked to 1e-8 in the Frobenius norm.
-    """
-    arr = check_matrix(v_sub, "v_sub")
-    m = arr.shape[1]
-    if np.linalg.norm(arr.T @ arr - np.eye(m)) > 1e-8:
-        raise InputDomainError("v_sub does not have orthonormal columns")
-    return np.sum(arr * arr, axis=1)
 
 
 def _check_triangular(r, name="r") -> np.ndarray:
@@ -444,14 +441,19 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None) -> CssResult:
     cfg = cfg or SrrqrConfig()
     arr = _check_css_input(chi, k)
     p = arr.shape[1]
-    q, r, perm = _working(qr_col_pivoted(arr))
+    q, r, perm, e = _working(qr_col_pivoted(arr))
     if np.any(np.diag(r)[:k] == 0.0):
         raise NumericalFailureError(
             "initial pivoted QR has a singular leading block; reduce k"
         )
     budget = cfg.swap_budget(k, p)
     threshold = cfg.f * (1.0 + SRRQR_TIE_SLACK)
-    logdet_history = [float(np.sum(np.log(np.diag(r)[:k])))]
+
+    def logdet():
+        # of the leading block in input units
+        return float(np.sum(np.log(np.ldexp(np.diag(r)[:k], e))))
+
+    logdet_history = [logdet()]
     swaps = 0
     while True:
         rho = _rho_matrix(r, k)
@@ -462,14 +464,14 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None) -> CssResult:
         b = k + int(j)
         _exchange(q, r, perm, int(i), b, b + 1)
         swaps += 1
-        logdet_history.append(float(np.sum(np.log(np.diag(r)[:k]))))
+        logdet_history.append(logdet())
     extras = {
         "converged": max_rho <= threshold,
         "max_rho": max_rho,
         "f": cfg.f,
         "logdet_history": logdet_history,
     }
-    return _result("srrqr", k, perm, q, r, swap_count=swaps, extras=extras)
+    return _result("srrqr", k, perm, q, r, e, swap_count=swaps, extras=extras)
 
 
 def run_css(chi, chi_svd: SvdFactors, algorithm: str, policy: RankPolicy,

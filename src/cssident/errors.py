@@ -12,14 +12,9 @@ class InputDomainError(CssIdentError, ValueError):
 class NumericalFailureError(CssIdentError, ArithmeticError):
     """Raised when a numerical routine cannot produce a trustworthy result.
 
-    The optional ``detail`` carries backend diagnostics (for LAPACK-based
-    routines this is the failure message; iteration counts are not exposed
-    by the backend).
+    For LAPACK-based routines the message includes the backend's own
+    failure text.
     """
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail
 
 
 class IntegrationFailureError(CssIdentError, ArithmeticError):

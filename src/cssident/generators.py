@@ -283,8 +283,7 @@ def gen_ships(n: int, p: int, spec: SpectrumSpec | None = None, seed=0,
     return (s, (u, sigma, v)) if return_parts else s
 
 
-def designated_k(family: str, n: int | None = None, p: int | None = None,
-                 k: int | None = None) -> int:
+def designated_k(family: str, n: int | None = None, k: int | None = None) -> int:
     """The k each family was designed around."""
     if family == "kahan":
         return int(n) - 1

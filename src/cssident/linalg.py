@@ -12,11 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .config import ORTH_TOL, RECON_TOL, rank_cutoff
+from .config import _EPS, ORTH_TOL, RECON_TOL, rank_cutoff
 from .errors import InputDomainError, NumericalFailureError
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -266,9 +263,7 @@ def svd(a) -> SvdFactors:
     try:
         ur, sigma, vt = np.linalg.svd(fac.r)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise NumericalFailureError(
-            "inner SVD did not converge", detail=str(exc)
-        ) from exc
+        raise NumericalFailureError(f"inner SVD did not converge: {exc}") from exc
     return SvdFactors(u=fac.q @ ur, sigma=sigma, v=vt.T)
 
 
@@ -278,16 +273,14 @@ def singular_values(a) -> np.ndarray:
 
 
 def orthonormal_range(a) -> np.ndarray:
-    """Orthonormal basis of range(a), truncated at the rank cutoff."""
+    """Orthonormal basis of range(a) for a tall ``a``, truncated at the rank
+    cutoff."""
     arr = check_matrix(a)
-    if arr.shape[0] >= arr.shape[1]:
-        fac = svd(arr)
-        u, sigma = fac.u, fac.sigma
-    else:
-        u, sigma, _ = np.linalg.svd(arr, full_matrices=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
+    fac = svd(arr)
+    u, sigma = fac.u, fac.sigma
+    if sigma[0] == 0.0:
         return u[:, :0]
-    cutoff = rank_cutoff(max(arr.shape), float(sigma[0]))
+    cutoff = rank_cutoff(arr.shape[0], float(sigma[0]))
     rank = int(np.sum(sigma > cutoff))
     return u[:, :rank]
 

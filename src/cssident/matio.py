@@ -9,10 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import FLOAT_FMT
 from .errors import InputDomainError
 from .linalg import check_matrix
-
-_FMT = "%.17g"
 
 MM_HEADER = "%%MatrixMarket matrix array real general"
 
@@ -20,7 +19,7 @@ MM_HEADER = "%%MatrixMarket matrix array real general"
 def write_csv(a, path) -> None:
     """Write a matrix as headerless CSV, one row per line."""
     arr = check_matrix(a)
-    lines = [",".join(_FMT % x for x in row) for row in arr]
+    lines = [",".join(FLOAT_FMT % x for x in row) for row in arr]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -39,7 +38,7 @@ def write_matrixmarket(a, path) -> None:
     n, p = arr.shape
     lines = [MM_HEADER, f"{n} {p}"]
     for j in range(p):
-        lines.extend(_FMT % x for x in arr[:, j])
+        lines.extend(FLOAT_FMT % x for x in arr[:, j])
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -73,7 +72,7 @@ def write_matrix(a, path, fmt: str = "csv") -> None:
     """Write ``a`` in the requested format ('csv' or 'matrixmarket')."""
     if fmt == "csv":
         write_csv(a, path)
-    elif fmt in ("matrixmarket", "mm", "mtx"):
+    elif fmt == "matrixmarket":
         write_matrixmarket(a, path)
     else:
         raise InputDomainError(f"unknown matrix format {fmt!r}")

@@ -149,8 +149,9 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult) -> list[BoundCh
     ``chi_svd`` is the SVD of the matrix ``result`` was selected from.
     Includes singular value interlacing for the final split and the
     algorithm-specific bounds.  Each inequality allows an absolute slack
-    of 1e-8 sigma_1; srrqr's bound f is the one it ran with,
-    ``result.extras['f']``.
+    of 1e-8 sigma_1, except the two unitless caps, b3's ||V11^{-1}|| <=
+    2^(k-1) and srrqr's coupling <= f, which allow 1e-9 times 2^(k-1) and
+    f; srrqr's bound f is the one it ran with, ``result.extras['f']``.
 
     Each inequality is decided on sigma and R scaled by the exact power of
     two that brings sigma_1 into [0.5, 1), so no bound over- or underflows;
@@ -214,8 +215,8 @@ def theorem_bound_checks(chi_svd: SvdFactors, result: CssResult) -> list[BoundCh
         v11_inv = result.extras.get("v11_inv_norm")
         if v11_inv is None:
             v11_inv = v11_inverse_norm(chi_svd, result.perm, k)
-        checks.append(_check("b3-v11-inverse-cap", v11_inv, _ldexp_or_inf(1.0, k - 1),
-                             "le", _ldexp_or_inf(slack, e)))
+        cap = _ldexp_or_inf(1.0, k - 1)
+        checks.append(_check("b3-v11-inverse-cap", v11_inv, cap, "le", 1e-9 * cap))
         checks.append(check("b3-sigmak-lower", s_r11[-1], sigma[k - 1] / v11_inv, "ge"))
         checks.append(check("b3-residual-upper", s_r22[0], v11_inv * sigma[k], "le"))
     elif alg == "srrqr":

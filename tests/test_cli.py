@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cssident
 from cssident import ALGORITHMS, SpectrumSpec, gen_ships, linalg
@@ -99,6 +103,13 @@ class TestAnalyze:
                        "--algorithm", "b1", "--k-policy", "fixed",
                        "--output", str(tmp_path / "o.json")) == 2
 
+    @pytest.mark.parametrize("mode", ("absolute", "relative"))
+    def test_threshold_policy_requires_eta(self, identity_csv, tmp_path, capsys, mode):
+        assert run_cli("analyze", "--input", str(identity_csv),
+                       "--algorithm", "b1", "--k-policy", mode,
+                       "--output", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err == f"error: {mode} rank policy needs eta\n"
+
     @pytest.mark.parametrize("argv, message", [
         (("--algorithm", "srrqr", "--f", "nan", "--k-policy", "fixed", "--k", "1"),
          "srrqr needs f >= 1"),
@@ -154,6 +165,17 @@ class TestGenerate:
                        "--zeta", "0.9", "--format", "matrixmarket",
                        "--output", str(out)) == 0
         assert read_matrix(out).shape == (8, 8)
+
+    @pytest.mark.parametrize("argv", (
+        ("--family", "kahan", "--zeta", "0.9"),
+        ("--family", "jolliffe", "--p", "10", "--k", "2"),
+    ))
+    def test_oversized_matrix_exits_2(self, tmp_path, capsys, argv):
+        # n = 2^62: numpy rejects the array before it allocates anything
+        assert run_cli("generate", *argv, "--n", str(2 ** 62),
+                       "--output", str(tmp_path / "g.csv")) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: array is too big")
 
     def test_svd_family_without_k_exits_2(self, tmp_path):
         assert run_cli("generate", "--family", "ships", "--n", "20",
@@ -399,6 +421,46 @@ class TestBench:
         assert run_cli("bench", "--spec", str(spec),
                        "--out-dir", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("mode", ("absolute", "relative"))
+    def test_threshold_policy_requires_eta(self, tmp_path, capsys, mode):
+        spec = self._write_spec(tmp_path, {
+            "generator": {"family": "gaussian", "n": 31, "p": 4},
+            "algorithms": ["b1"],
+            "k_policy": {"mode": mode},
+            "realizations": 1,
+        })
+        assert run_cli("bench", "--spec", str(spec),
+                       "--out-dir", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {mode} rank policy needs eta\n"
+
+    def test_oversized_matrix_exits_2(self, tmp_path, capsys):
+        # numpy rejects the 2^40 x 2^40 draw before it allocates anything
+        spec = self._write_spec(tmp_path, {
+            "generator": {"family": "gaussian", "n": 2 ** 40, "p": 2 ** 40},
+            "algorithms": ["b1"],
+            "k_policy": {"mode": "gap"},
+            "realizations": 1,
+        })
+        assert run_cli("bench", "--spec", str(spec),
+                       "--out-dir", str(tmp_path / "o")) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: array is too big")
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def realize_out_of_memory(generator, seed):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr("cssident.bench.realize", realize_out_of_memory)
+        spec = self._write_spec(tmp_path, {
+            "generator": {"family": "gaussian", "n": 10 ** 5, "p": 10 ** 5},
+            "algorithms": ["b1"],
+            "k_policy": {"mode": "gap"},
+            "realizations": 1,
+        })
+        assert run_cli("bench", "--spec", str(spec),
+                       "--out-dir", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array\n"
+
     def test_reversed_zeta_range_records_generator_errors(self, tmp_path):
         spec = self._write_spec(tmp_path, {
             "generator": {"family": "kahan", "n": 10, "zeta_range": [0.99, 0.9]},
@@ -583,3 +645,81 @@ class TestGramDemo:
     @pytest.mark.parametrize("eta", ("nan", "-1"))
     def test_out_of_domain_eta_exits_2(self, eta):
         assert run_cli("gram-demo", "--eta", eta) == 2
+
+
+# small sizes, 0 and negatives for integer flags; NaN and inf for real ones.
+# Values are passed as --flag=value, the form that lets "-inf" through
+_SIZE = st.one_of(st.integers(1, 6), st.integers(-2, 0))
+_INT = _SIZE.map(str)
+_REAL = st.one_of(st.floats(0.0, 10.0),
+                  st.sampled_from((math.nan, math.inf, -math.inf, -1.0))).map(repr)
+
+
+@st.composite
+def _given_flags(draw, options):
+    return [f"{flag}={draw(values)}" for flag, values in options if draw(st.booleans())]
+
+
+@st.composite
+def _argv(draw, work):
+    command = draw(st.sampled_from(("analyze", "generate", "svir", "bench",
+                                    "verify-dyn", "gram-demo")))
+    out = ["--output", str(work / "out")]
+    if command == "analyze":
+        return ["analyze", "--input", str(draw(st.sampled_from(sorted(work.glob("*.csv"))))),
+                "--algorithm", draw(st.sampled_from(ALGORITHMS)),
+                "--k-policy", draw(st.sampled_from(("fixed", "absolute", "relative", "gap"))),
+                *draw(_given_flags((("--k", _INT), ("--eta", _REAL), ("--f", _REAL)))),
+                *out]
+    if command == "generate":
+        return ["generate", "--family", draw(st.sampled_from(FAMILIES)), f"--n={draw(_INT)}",
+                *draw(_given_flags((("--p", _INT), ("--k", _INT), ("--zeta", _REAL),
+                                    ("--seed", _INT)))),
+                *out]
+    if command == "svir":
+        return ["svir", f"--days={draw(st.integers(-1, 3))}",
+                f"--substeps={draw(st.integers(-1, 3))}",
+                "--method", draw(st.sampled_from(("central-fd", "complex-step"))),
+                *draw(_given_flags((("--beta", _REAL), ("--i0", _REAL), ("--s0", _REAL),
+                                    ("--step", _REAL)))),
+                *out]
+    if command == "bench":
+        policy = {"mode": draw(st.sampled_from(("fixed", "absolute", "relative", "gap")))}
+        policy |= draw(st.fixed_dictionaries({}, optional={
+            "k": _SIZE, "eta": st.sampled_from((math.nan, -1.0, 0.0, 0.5))}))
+        spec = {"generator": {"family": draw(st.sampled_from(("identity", "gaussian", "kahan"))),
+                              "n": draw(_SIZE), "p": draw(_SIZE)},
+                "algorithms": [draw(st.sampled_from(ALGORITHMS))],
+                "k_policy": policy, "realizations": draw(st.integers(1, 2))}
+        (work / "spec.json").write_text(json.dumps(spec))
+        return ["bench", "--spec", str(work / "spec.json"), "--out-dir", str(work / "bench")]
+    if command == "verify-dyn":
+        return ["verify-dyn", "--svd", str(work / "svd.json"),
+                *draw(_given_flags((("--t", _REAL), ("--tol", _REAL), ("--seed", _INT)))),
+                *out]
+    return ["gram-demo", *draw(_given_flags((("--eta", _REAL),))), *out]
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("argv")
+    rng = np.random.default_rng(0)
+    gaussian = rng.standard_normal((6, 4))
+    write_csv(gaussian, work / "gaussian.csv")
+    write_csv(np.column_stack([gaussian, gaussian[:, 0]]), work / "duplicated.csv")
+    write_csv(np.zeros((3, 2)), work / "zeros.csv")
+    (work / "svd.json").write_text(json.dumps(
+        {"u": np.eye(3, 2).tolist(), "sigma": [2.0, 1.0], "v": np.eye(2).tolist()}))
+    return work
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_exit_is_a_documented_code_with_one_line(argv_inputs, data):
+    """Any parseable argv exits 0-3; a failure prints exactly one stderr line."""
+    argv = data.draw(_argv(argv_inputs))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) == (1 if code in (2, 3) else 0)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cssident import (
+    CssIdentError,
     InputDomainError,
     NumericalFailureError,
     RankPolicy,
@@ -14,7 +18,6 @@ from cssident import (
     gen_gu_eisenstat,
     gen_jolliffe,
     gen_kahan,
-    leverage_scores,
     qr_unpivoted,
     run_css,
     select_k,
@@ -46,6 +49,15 @@ class TestSelectK:
     def test_eta_domain(self, eta):
         with pytest.raises(InputDomainError, match="eta must be nonnegative"):
             RankPolicy.absolute(eta)
+
+    @pytest.mark.parametrize("mode", ("absolute", "relative"))
+    def test_threshold_modes_require_eta(self, mode):
+        with pytest.raises(InputDomainError, match=f"{mode} rank policy needs eta"):
+            RankPolicy(mode=mode)
+
+    def test_other_modes_record_eta_zero(self):
+        assert RankPolicy.fixed(2).eta == 0.0
+        assert RankPolicy(mode="gap", eta=None).eta == 0.0
 
     def test_gap_dominant_ratio(self):
         sel = select_k([100.0, 99.0, 1e-6, 1e-7], RankPolicy.gap())
@@ -123,12 +135,12 @@ class TestCssB1:
 
 def _reference_b1(chi, k):
     # b1 with every pick taken from the full SVD of the leading block
-    q, r, perm = _working(qr_unpivoted(chi))
+    q, r, perm, e = _working(qr_unpivoted(chi))
     for ell in range(chi.shape[1], k, -1):
         _, _, vt = np.linalg.svd(r[:ell, :ell])
         m = int(np.argmax(np.abs(vt[-1])))
         _exchange(q, r, perm, m, ell - 1, ell)
-    return perm, q, r
+    return perm, q, np.ldexp(r, e)
 
 
 def _ships(n, p, k, seed):
@@ -270,23 +282,6 @@ class TestCssB3:
         g2 = [r.gamma2 for r in recs.values()]
         assert max(g1) <= min(g1) * 1.05
         assert max(g2) <= min(g2) * 1.05
-
-
-class TestLeverageScores:
-    def test_canonical_columns(self):
-        scores = leverage_scores(np.eye(4)[:, 2:])
-        assert_allclose(scores, [0.0, 0.0, 1.0, 1.0])
-
-    def test_sum_is_column_count(self):
-        from cssident import haar_orthonormal
-        v = haar_orthonormal(6, 2, seed=5)
-        scores = leverage_scores(v)
-        assert np.sum(scores) == pytest.approx(2.0, abs=1e-10)
-        assert_allclose(scores, [v[j] @ v[j] for j in range(6)])
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(InputDomainError):
-            leverage_scores(np.ones((4, 2)))
 
 
 class TestSrrqrRho:
@@ -463,3 +458,34 @@ class TestDeterminismAndSoundness:
                 fn(np.eye(4), 4)
             with pytest.raises(InputDomainError):
                 fn(np.eye(4), 0)
+
+
+@st.composite
+def _tall_with_duplicates(draw):
+    # entries of magnitude 0 or >= 1e-3 keep a 2^-600 scaling exact
+    p = draw(st.integers(2, 6))
+    n = draw(st.integers(p, 8))
+    entry = st.floats(-1e3, 1e3).map(lambda x: x if abs(x) >= 1e-3 else 0.0)
+    a = draw(arrays(float, (n, p), elements=entry))
+    if draw(st.booleans()):
+        src, dst = draw(st.permutations(range(p)))[:2]
+        a[:, dst] = a[:, src]
+    return a, draw(st.integers(1, p - 1))
+
+
+def _split_or_error(fn, a, k):
+    try:
+        return frozenset(fn(a, k).identifiable)
+    except CssIdentError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=60)
+@given(case=_tall_with_duplicates())
+def test_split_unchanged_under_power_of_two_scaling(case):
+    """chi * 2^j has the identifiable set of chi, duplicated columns too."""
+    a, k = case
+    for name, fn in ALL_ALGS.items():
+        base = _split_or_error(fn, a, k)
+        for j in (-600, -64, 64, 600):
+            assert _split_or_error(fn, np.ldexp(a, j), k) == base, (name, j)

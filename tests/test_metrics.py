@@ -144,6 +144,16 @@ class TestBoundChecks:
         checks = self._identity_checks("b1", 6)
         assert checks["b1-residual-upper"].rhs == 2.0 ** 1023
 
+    @pytest.mark.parametrize("j", (0, -600, 600))
+    def test_b3_cap_flag_does_not_depend_on_scale(self, j):
+        # ||V11^{-1}|| is unitless, and so is the slack of its cap 2^(k-1)
+        a = np.ldexp(np.random.default_rng(0).standard_normal((20, 6)), j)
+        checks = {c.name: c for c in theorem_bound_checks(svd(a), css_b3(a, 1))}
+        cap = checks["b3-v11-inverse-cap"]
+        assert cap.lhs == pytest.approx(1.3297, abs=1e-4)
+        assert (cap.rhs, cap.slack) == (1.0, 1e-9)
+        assert not cap.satisfied
+
     def test_b3_cap_past_double_range(self):
         # 2^(k-1) = 2^1025 overflows; the cap is inf, not an error
         checks = self._identity_checks("b3", 1026, extras={"v11_inv_norm": 1.0})
