@@ -18,8 +18,15 @@ estimates it, and the exact SVD of R11 decides every step whose pick the
 iteration cannot certify.  The picks, and hence the factors, are then those
 of an SVD at every step, provided the start block has a component along the
 wanted vector: the acceptance test assumes this, and it was checked on the
-golden input pools, not proved (see :func:`css_b1`).  b4 and b3 take an SVD
-of the trailing block at every step.
+golden input pools, not proved (see :func:`css_b1`).
+
+b4 and b3 pick each column from the dominant right singular vectors of the
+trailing block.  They take the pick from eigenpairs of that block's Gram
+matrix and keep it where a Davis-Kahan certificate shows that the SVD of
+the block picks the same column; otherwise the SVD decides.  Their factors
+are then those of an SVD at every step, by the certificate's error bound
+(see :func:`css_b4`).  All three back off to the SVD alone after repeated
+uncertified steps.
 """
 from __future__ import annotations
 
@@ -209,12 +216,39 @@ def _exchange(q, r, perm, a: int, b: int, end: int) -> None:
 
 
 # b1's inverse iteration (see css_b1): vectors per block, sweeps before the
-# exact SVD decides, largest block that goes straight to the SVD, and the
-# factor by which the argmax margin must exceed the error bound
+# exact SVD decides and largest block that goes straight to the SVD; b4's
+# and b3's largest block that goes straight to the SVD (below about 32
+# columns the Gram route costs more than the SVD it replaces); and, for all
+# three, the factor by which an argmax margin must exceed its error bound
 _B1_BLOCK = 4
 _B1_MAX_SWEEPS = 16
 _B1_SMALL = 12
-_B1_SAFETY = 8.0
+_GREEDY_SMALL = 32
+_SAFETY = 8.0
+
+
+class _Backoff:
+    """Skip rule for certified routes that keep failing.
+
+    After f >= 2 uncertified attempts in a row the SVD also decides the next
+    2^(f-2) - 1 steps, which bounds the work spent where the certificate
+    keeps failing, as on a clustered spectrum.
+    """
+
+    def __init__(self):
+        self.failed = 0  # uncertified attempts in a row
+        self.skip = 0  # steps left that go straight to the SVD
+
+    def attempt(self) -> bool:
+        # whether this step may try the certified route
+        if self.skip:
+            self.skip -= 1
+            return False
+        return True
+
+    def record(self, certified: bool) -> None:
+        self.failed = 0 if certified else self.failed + 1
+        self.skip = 2 ** (self.failed - 2) - 1 if self.failed >= 2 else 0
 
 
 def _b1_certified_argmax(block, start):
@@ -247,7 +281,7 @@ def _b1_certified_argmax(block, start):
         gap = 1.0 - ratio * ratio - res2
         # the start block alone decides nothing
         if sweep > 1:
-            target = margin / _B1_SAFETY - floor
+            target = margin / _SAFETY - floor
             if target <= 0:
                 return None, None, sweep
             if gap > 0:
@@ -303,17 +337,14 @@ def css_b1(chi, k: int) -> CssResult:
         start = np.random.default_rng(0).standard_normal((p, _B1_BLOCK))
         fresh = start[:, 0]
     fallbacks = sweeps = 0
-    failed = skip = 0  # uncertified steps in a row; steps left to skip
+    backoff = _Backoff()
     for ell in range(p, k, -1):
         m = None
-        if skip:
-            skip -= 1
-        elif ell > _B1_SMALL and np.all(np.diag(r)[:ell] != 0.0):
+        if ell > _B1_SMALL and backoff.attempt() and np.all(np.diag(r)[:ell] != 0.0):
             m, ritz, used = _b1_certified_argmax(np.ascontiguousarray(r[:ell, :ell]),
                                                  start)
             sweeps += used
-            failed = 0 if m is not None else failed + 1
-            skip = 2 ** (failed - 2) - 1 if failed >= 2 else 0
+            backoff.record(m is not None)
         if m is None:
             fallbacks += 1
             _, _, vt = np.linalg.svd(r[:ell, :ell])
@@ -329,18 +360,62 @@ def css_b1(chi, k: int) -> CssResult:
     return _result("b1", k, perm, q, r, e, extras=extras)
 
 
+def _gram_certified_pick(block, d: int):
+    # the column with the largest norm in the d dominant right singular
+    # vectors of block, taken from eigenpairs of G = B^T B; None when the
+    # certificate cannot vouch that the SVD of block picks the same column.
+    # B is block scaled by its own power of two, so that G is not subnormal
+    # where block is far below max|r|
+    # numpy's eigh, not scipy's: scipy ships its own OpenBLAS, and
+    # alternating its threads with numpy's in the exchange oversubscribes
+    # the cores unless BLAS is pinned to one thread
+    ell = block.shape[1]
+    b = np.ldexp(block, -_pow2_exponent(block))
+    g = b.T @ b
+    fro2 = float(np.trace(g))  # ||B||_F^2
+    w, v = np.linalg.eigh(g)
+    top = v[:, -d:]
+    scores = np.sqrt(np.einsum("ij,ij->i", top, top))
+    # delta bounds the rounding of G plus eigh's backward error; by Weyl and
+    # Davis-Kahan the computed top-d subspace, and so each score, is then off
+    # by at most delta / sep
+    delta = 2.0 * ell * _EPS * fro2
+    w_d, w_next = float(w[-d]), max(float(w[-d - 1]), 0.0)
+    sep = w_d - w_next - 2.0 * delta
+    if not sep > 0:
+        return None
+    error = delta / sep
+    # the SVD's own error eps ||B|| / (sigma_d - sigma_{d+1}), with ||B|| <=
+    # ||B||_F and sigma_d - sigma_{d+1} >= sep / (sigma_d + sigma_{d+1}),
+    # plus the rounding of the d-term norms
+    sum_sigma = np.sqrt(w_d + delta) + np.sqrt(w_next + delta)
+    floor = _EPS * (np.sqrt(fro2) * sum_sigma / sep + d)
+    m = int(np.argmax(scores))
+    margin = float(scores[m] - np.partition(scores, -2)[-2])
+    return m if margin > _SAFETY * 2.0 * (error + floor) else None
+
+
 def _greedy_front(arr, k: int, subspace: bool):
     # for l = 1..k: take the dominant right singular vector (b4) or the
     # k-l+1 dominant ones (b3) of the trailing block, swap the column with
-    # the largest norm in them to the front and re-QR the trailing block
+    # the largest norm in them to the front and re-QR the trailing block;
+    # also returns the number of steps the SVD decided
     p = arr.shape[1]
     q, r, perm, e = _working(qr_unpivoted(arr))
+    backoff = _Backoff()
+    fallbacks = 0
     for i in range(k):
-        _, _, vt = np.linalg.svd(r[i:, i:])
-        w = vt[: k - i if subspace else 1]
-        m = int(np.argmax(np.linalg.norm(w, axis=0)))
+        d = k - i if subspace else 1
+        m = None
+        if p - i > _GREEDY_SMALL and backoff.attempt():
+            m = _gram_certified_pick(r[i:, i:], d)
+            backoff.record(m is not None)
+        if m is None:
+            fallbacks += 1
+            _, _, vt = np.linalg.svd(r[i:, i:])
+            m = int(np.argmax(np.linalg.norm(vt[:d], axis=0)))
         _exchange(q, r, perm, i, i + m, p)
-    return q, r, perm, e
+    return q, r, perm, e, fallbacks
 
 
 def css_b4(chi, k: int) -> CssResult:
@@ -350,28 +425,57 @@ def css_b4(chi, k: int) -> CssResult:
     is computed and its magnitude-largest entry is swapped to the front of
     the block.  The leading diagonal entries then satisfy
     |r_ll| >= sigma_l / sqrt(p - l + 1).
+
+    Only that entry's position is needed.  For blocks of more than 32
+    columns it is taken from the top eigenpair of G = B^T B, where B is the
+    block scaled by its own power of two, computed by a direct symmetric
+    eigensolver.  delta = 2 l eps ||B||_F^2
+    bounds the rounding of G plus the eigensolver's backward error, so by
+    Davis-Kahan each entry is off by at most delta / (w_1 - w_2 - 2 delta)
+    for the computed eigenvalues w.  The pick is kept when the gap between
+    the two largest entries exceeds 16 times the sum of that bound and the
+    SVD's own error eps ||B|| / (sigma_1 - sigma_2) plus rounding; exact
+    ties never pass.  Otherwise the SVD of the block decides, as it does
+    for blocks of 32 or fewer columns and, as in :func:`css_b1`, for the
+    next 2^(f-2) - 1 steps after f >= 2 uncertified steps in a row.  On a
+    certified step both routes pick the same column and the exchange is the
+    same, so the factors do not depend on which route ran.  On the
+    benchmark's pools the SVD decided 0 of 800 steps on ships 400x200
+    (k = 40), 0 of 640 on ships 200x100 (k = 20) and 3840 of 11880 on
+    Kahan n = 100 (k = 99: the first step of each matrix and the 31 steps
+    on blocks of 32 or fewer columns).  ``extras['svd_fallbacks']`` counts
+    the steps the SVD decided.
     """
     arr = _check_css_input(chi, k)
-    q, r, perm, e = _greedy_front(arr, k, subspace=False)
-    return _result("b4", k, perm, q, r, e)
+    q, r, perm, e, fallbacks = _greedy_front(arr, k, subspace=False)
+    return _result("b4", k, perm, q, r, e, extras={"svd_fallbacks": fallbacks})
 
 
 def css_b3(chi, k: int, chi_svd: SvdFactors | None = None) -> CssResult:
     """Greedy selection by column norms of the dominant right subspace.
 
-    For l = 1..k the k-l+1 dominant right singular vectors of the trailing
-    block form W (transposed); the column of W with the largest 2-norm is
-    swapped to the front of the block.  The norm ||V11^{-1}||_2 of the
-    selected leading block of the input's dominant right singular vectors
-    is reported in ``extras['v11_inv_norm']``; pass ``chi_svd = svd(chi)``
+    For l = 1..k the d = k-l+1 dominant right singular vectors of the
+    trailing block form W (transposed); the column of W with the largest
+    2-norm is swapped to the front of the block.  The pick is taken and
+    certified as in :func:`css_b4`, from all eigenpairs of the Gram matrix,
+    with the gap w_d - w_{d+1} and the SVD's error eps ||B|| / (sigma_d -
+    sigma_{d+1}) in place of those of the first pair.  The SVD decided 0 of
+    800 steps on ships 400x200 (k = 40), 0 of 640 on ships 200x100 (k = 20)
+    and 10613 of 11880 on Kahan n = 100 (k = 99), where the column norms
+    tie to rounding level over long runs of early steps, so the backoff
+    leaves most later steps to the SVD too.  ``extras`` counts the
+    steps the SVD decided (``svd_fallbacks``) and reports the norm
+    ||V11^{-1}||_2 of the selected leading block of the input's dominant
+    right singular vectors (``v11_inv_norm``); pass ``chi_svd = svd(chi)``
     when it is already known, otherwise it is computed here.
     """
     arr = _check_css_input(chi, k)
-    q, r, perm, e = _greedy_front(arr, k, subspace=True)
+    q, r, perm, e, fallbacks = _greedy_front(arr, k, subspace=True)
     if chi_svd is None:
         chi_svd = svd(arr)
-    v11_inv = v11_inverse_norm(chi_svd, perm, k)
-    return _result("b3", k, perm, q, r, e, extras={"v11_inv_norm": v11_inv})
+    extras = {"v11_inv_norm": v11_inverse_norm(chi_svd, perm, k),
+              "svd_fallbacks": fallbacks}
+    return _result("b3", k, perm, q, r, e, extras=extras)
 
 
 def v11_inverse_norm(chi_svd: SvdFactors, perm, k: int) -> float:

@@ -62,8 +62,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("algorithm, keys", (
         ("b1", {"svd_fallbacks", "solve_sweeps"}),
-        ("b4", set()),
-        ("b3", {"v11_inv_norm"}),
+        ("b4", {"svd_fallbacks"}),
+        ("b3", {"v11_inv_norm", "svd_fallbacks"}),
         ("srrqr", {"converged", "max_rho", "f", "logdet_history"}),
     ))
     def test_extras_reported(self, tmp_path, algorithm, keys):

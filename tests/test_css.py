@@ -25,7 +25,7 @@ from cssident import (
     svd,
 )
 from cssident.bench import realize
-from cssident.css import _exchange, _working
+from cssident.css import _exchange, _gram_certified_pick, _working
 from cssident.metrics import compute_metrics
 
 
@@ -143,6 +143,17 @@ def _reference_b1(chi, k):
     return perm, q, np.ldexp(r, e)
 
 
+def _reference_greedy(chi, k, subspace):
+    # b4 (subspace=False) and b3 with every pick taken from the full SVD of
+    # the trailing block
+    q, r, perm, e = _working(qr_unpivoted(chi))
+    for i in range(k):
+        _, _, vt = np.linalg.svd(r[i:, i:])
+        m = int(np.argmax(np.linalg.norm(vt[: k - i if subspace else 1], axis=0)))
+        _exchange(q, r, perm, i, i + m, chi.shape[1])
+    return perm, q, np.ldexp(r, e)
+
+
 def _ships(n, p, k, seed):
     return realize({"family": "ships", "n": n, "p": p, "spectrum": {"k": k}}, seed)
 
@@ -206,6 +217,94 @@ class TestCssB1InverseIteration:
     def test_reruns_report_equal_extras(self):
         chi = _ships(200, 100, 20, 2)
         assert css_b1(chi, 20).extras == css_b1(chi, 20).extras
+
+
+# b4 and b3 on the matrices of B1_ITERATION_CASES; at k = 80 the square
+# n = 100 matrices also run blocks small enough to go straight to the SVD
+GREEDY_CASES = {name: (make, 80 if k == 50 else k)
+                for name, (make, k) in B1_ITERATION_CASES.items()}
+GREEDY_ALGS = {"b4": (css_b4, False), "b3": (css_b3, True)}
+
+
+def _duplicate_column_matrix():
+    # columns 3 and 9 are the same dominant column, so the two lead every
+    # score by the same amount and only the exact SVD can say which it picks
+    a = np.random.default_rng(8).standard_normal((80, 40))
+    a[:, 9] = a[:, 3] = 10.0 * a[:, 3]
+    return a
+
+
+class TestGreedyGramRoute:
+    """b4's and b3's certified Gram picks match the exact SVD's."""
+
+    @pytest.mark.parametrize("alg", GREEDY_ALGS)
+    @pytest.mark.parametrize("case", GREEDY_CASES)
+    def test_bit_identical_to_exact_svd_picks(self, case, alg):
+        make, k = GREEDY_CASES[case]
+        fn, subspace = GREEDY_ALGS[alg]
+        chi = make()
+        res = fn(chi, k)
+        perm, q, r = _reference_greedy(chi, k, subspace)
+        assert np.array_equal(res.perm, perm)
+        assert np.array_equal(res.factors.q, q)
+        assert np.array_equal(res.factors.r, r)
+
+    @pytest.mark.parametrize("alg", GREEDY_ALGS)
+    def test_duplicate_columns_fall_back_to_the_svd(self, alg):
+        fn, subspace = GREEDY_ALGS[alg]
+        chi = _duplicate_column_matrix()
+        res = fn(chi, 4)
+        assert res.extras["svd_fallbacks"] >= 1
+        perm, q, r = _reference_greedy(chi, 4, subspace)
+        assert np.array_equal(res.perm, perm)
+        assert np.array_equal(res.factors.r, r)
+
+    @pytest.mark.parametrize("alg", GREEDY_ALGS)
+    def test_tiny_trailing_columns(self, alg):
+        # after the 20 large columns the trailing blocks are about 2^-600
+        # times max|r|.  b3's first 20 steps cannot certify (their d > 20
+        # dominant vectors reach into the tiny columns) and the backoff
+        # then skips the rest; b4 runs steps 20-27 (blocks of 40 down to 33
+        # columns) on the Gram route, whose Gram matrix must not underflow
+        fn, subspace = GREEDY_ALGS[alg]
+        chi = np.random.default_rng(9).standard_normal((120, 60))
+        chi[:, 20:] = np.ldexp(chi[:, 20:], -600)
+        res = fn(chi, 30)
+        perm, q, r = _reference_greedy(chi, 30, subspace)
+        assert np.array_equal(res.perm, perm)
+        assert np.array_equal(res.factors.q, q)
+        assert np.array_equal(res.factors.r, r)
+        if not subspace:
+            assert res.extras["svd_fallbacks"] <= 2
+        # 2^-400, not 2^-600: the latter puts the tiny columns at 2^-1200,
+        # below the smallest subnormal, so the input itself loses them
+        for j in (-400, 600):
+            assert fn(np.ldexp(chi, j), 30).identifiable == res.identifiable
+
+    @pytest.mark.parametrize("d", (1, 5))
+    def test_gram_pick_of_a_tiny_block(self, d):
+        block = qr_unpivoted(_ships(200, 100, 20, 3)).r
+        pick = _gram_certified_pick(block, d)
+        assert pick is not None
+        assert _gram_certified_pick(np.ldexp(block, -600), d) == pick
+
+    @pytest.mark.parametrize("alg", GREEDY_ALGS)
+    def test_svd_calls_on_ships(self, alg, monkeypatch):
+        # counts do not jitter: the SVD of every step cost 20 (b4) and 21
+        # (b3, with its V11 norm) calls here
+        fn, subspace = GREEDY_ALGS[alg]
+        chi = _ships(200, 100, 20, 0)
+        args = (chi, 20, svd(chi)) if subspace else (chi, 20)
+        calls = []
+        numpy_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return numpy_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        fn(*args)
+        assert len(calls) <= 2
 
 
 class TestCssB4:
