@@ -2,29 +2,31 @@
 
 Each algorithm returns a :class:`CssResult` whose permutation splits the
 input columns into ``identifiable`` (first k) and ``unidentifiable``
-(remaining p - k).  Every step is one column exchange (:func:`_exchange`):
-columns a <= b of the working QR factorization are swapped, the block
-``r[a:end, a:end]`` is re-factored by an unpivoted QR with a nonnegative
-diagonal, and the result is applied to ``r[a:end, end:]`` and
-``q[:, a:end]``.  b1 and srrqr restore only the disturbed block (end = b + 1),
-b4 and b3 the whole trailing block (end = p).  Magnitude ties break to the
-lowest index.  Every step runs on R scaled by the exact power of two that
-brings max|r| into [0.5, 1), and the result's R is scaled back, so each
-decision, ties included, is the same whatever the input's units.
+(remaining p - k).  The selection loops carry only the triangular factor
+R and ``perm``.  Every step is one column exchange (:func:`_exchange`):
+columns a <= b of R are swapped, the block ``r[a:end, a:end]`` is
+re-factored by an unpivoted QR with a nonnegative diagonal, and the
+result is applied to ``r[a:end, end:]``.  b1 and srrqr restore only the
+disturbed block (end = b + 1), b4 and b3 the whole trailing block
+(end = p).  Magnitude ties break to the lowest index.  Every step runs on
+R scaled by the exact power of two that brings max|r| into [0.5, 1), so
+each decision, ties included, is the same whatever the input's units.
+A result's factors are the QR of ``chi[:, perm]``, computed once from the
+selected order, so they do not depend on the route that reached it.
 
 b1 picks each column from the smallest right singular vector of the
 leading block R11.  A block inverse iteration with triangular solves
 estimates it, and the exact SVD of R11 decides every step whose pick the
-iteration cannot certify.  The picks, and hence the factors, are then those
-of an SVD at every step, provided the start block has a component along the
-wanted vector: the acceptance test assumes this, and it was checked on the
-golden input pools, not proved (see :func:`css_b1`).
+iteration cannot certify.  ``perm`` is then the one an SVD at every step
+gives, except where the certificate vouches for a pick the SVD does not
+make: its gap uses a lower bound on the second eigenvalue where an upper
+bound is needed (see :func:`css_b1`).
 
 b4 and b3 pick each column from the dominant right singular vectors of the
 trailing block.  They take the pick from eigenpairs of that block's Gram
 matrix and keep it where a Davis-Kahan certificate shows that the SVD of
-the block picks the same column; otherwise the SVD decides.  Their factors
-are then those of an SVD at every step, by the certificate's error bound
+the block picks the same column; otherwise the SVD decides.  Their
+``perm`` is then the SVD's at every step, by the certificate's error bound
 (see :func:`css_b4`).  All three back off to the SVD alone after repeated
 uncertified steps.
 """
@@ -158,7 +160,12 @@ class SrrqrConfig:
 
 @dataclass(frozen=True)
 class CssResult:
-    """Outcome of one column subset selection run."""
+    """Outcome of one column subset selection run.
+
+    ``factors`` is the QR of ``chi[:, perm]`` (nonnegative diagonal),
+    computed once from the selected order: two algorithms that select the
+    same order return the same factors, bit for bit.
+    """
 
     algorithm: str
     k: int
@@ -183,12 +190,13 @@ def _check_css_input(chi, k: int) -> np.ndarray:
     return arr
 
 
-def _result(algorithm, k, perm, q, r, e, swap_count=0, extras=None):
-    # r comes from _working, scaled by 2^-e
+def _result(algorithm, arr, k, perm, swap_count=0, extras=None):
+    # the one place a result's factors are built: the QR of arr[:, perm], so
+    # they depend on the selected order alone, not on the route that reached it
     return CssResult(
         algorithm=algorithm,
         k=k,
-        factors=QrFactors(perm=perm, q=q, r=np.ldexp(r, e)),
+        factors=replace(qr_unpivoted(arr[:, perm]), perm=perm),
         identifiable=tuple(int(j) for j in perm[:k]),
         unidentifiable=tuple(int(j) for j in perm[k:]),
         swap_count=swap_count,
@@ -197,33 +205,32 @@ def _result(algorithm, k, perm, q, r, e, swap_count=0, extras=None):
 
 
 def _working(fac: QrFactors):
-    # writable copies of frozen factors for the exchange steps, with r scaled
-    # by the exact power of two 2^-e that brings max|r| into [0.5, 1): every
-    # step then decides on the same r whatever the input's units
+    # writable copies of a start's r and perm for the exchange steps, with r
+    # scaled by the exact power of two 2^-e that brings max|r| into [0.5, 1):
+    # every step then decides on the same r whatever the input's units.  The
+    # start's q is not needed: no step reads it
     e = _pow2_exponent(fac.r)
-    return fac.q.copy(), np.ldexp(fac.r, -e), fac.perm.copy(), e
+    return np.ldexp(fac.r, -e), fac.perm.copy(), e
 
 
-def _exchange(q, r, perm, a: int, b: int, end: int) -> None:
+def _exchange(r, perm, a: int, b: int, end: int) -> None:
     # swap columns a <= b < end, re-QR r[a:end, a:end] with a nonnegative
-    # diagonal and apply it to r[a:end, end:] and q[:, a:end]; rows above a
-    # and below end stay triangular, so a[:, perm] == q @ r is kept
+    # diagonal and apply it to r[a:end, end:]; rows above a and below end
+    # stay triangular, so r stays an R factor of a[:, perm], scaled
     r[:, [a, b]] = r[:, [b, a]]
     perm[[a, b]] = perm[[b, a]]
     qt, r[a:end, a:end] = _nonneg_diag(*np.linalg.qr(r[a:end, a:end]))
     r[a:end, end:] = qt.T @ r[a:end, end:]
-    q[:, a:end] = q[:, a:end] @ qt
 
 
-# b1's inverse iteration (see css_b1): vectors per block, sweeps before the
-# exact SVD decides and largest block that goes straight to the SVD; b4's
-# and b3's largest block that goes straight to the SVD (below about 32
-# columns the Gram route costs more than the SVD it replaces); and, for all
-# three, the factor by which an argmax margin must exceed its error bound
+# b1's inverse iteration (see css_b1): vectors per block and sweeps before
+# the exact SVD decides; for b1, b4 and b3, the largest block that goes
+# straight to the SVD (below about 32 to 40 columns a certified step costs
+# more than the SVD it replaces) and the factor by which an argmax margin
+# must exceed its error bound
 _B1_BLOCK = 4
 _B1_MAX_SWEEPS = 16
-_B1_SMALL = 12
-_GREEDY_SMALL = 32
+_SMALL = 32
 _SAFETY = 8.0
 
 
@@ -305,7 +312,7 @@ def css_b1(chi, k: int) -> CssResult:
     re-triangularized.  The trailing diagonal entries then satisfy
     |r_ll| <= sqrt(l) * sigma_l.
 
-    Only that entry's position m is needed.  For l > 12 it is estimated by
+    Only that entry's position m is needed.  For l > 32 it is estimated by
     a block inverse iteration with 4 vectors on M = R11^{-1} R11^{-T}
     (eigenvalues theta = 1/sigma^2), which applies triangular solves only,
     starts from the previous step's Ritz vectors and runs on R scaled by a
@@ -317,22 +324,28 @@ def css_b1(chi, k: int) -> CssResult:
     sigma_l).  Otherwise the SVD of R11 decides: at once when that SVD
     error alone rules out a certificate or when the error bound, shrinking
     by theta_4 / theta_1 per sweep, would not get there within 16 sweeps;
-    also for blocks of 12 or fewer columns, a zero diagonal entry or
+    also for blocks of 32 or fewer columns, a zero diagonal entry or
     non-finite solves.  After f >= 2 uncertified steps in a row the SVD
     also decides the next 2^(f-2) - 1 steps, which bounds the work spent
-    where a spectrum stays clustered.  On certified steps both routes pick
-    the same m and the exchange is the same, so the factors do not depend on
-    which route ran, as long as the start block has a component along the
-    wanted vector.  The error bound assumes that: from a start block with
-    that vector projected out the iteration converges to another one and
-    can certify a wrong pick.  The warm starts met it on every golden input
-    pool, which is a check, not a proof.  ``extras`` counts the steps the
-    SVD decided (``svd_fallbacks``) and the sweeps run (``solve_sweeps``).
+    where a spectrum stays clustered.  Where the certificate is right, both
+    routes pick the same m, so ``perm`` is the SVD's at every step; the
+    factors are the QR of ``chi[:, perm]``.  The certificate is not sound:
+    its gap uses the Ritz value theta_2, a lower bound on the second
+    eigenvalue of M where an upper bound is needed, so it can vouch for a
+    pick the SVD does not make.  A 120 x 60 input with sigma =
+    1 +- logspace(-12, -2) (alternating signs, Haar U and V from
+    ``default_rng(3)``), k = 12, shows it: at l = 59 the iteration
+    certifies column 36 after 2 sweeps where the SVD picks column 1.
+    Without the backoff it certified wrong picks on 2 of 3 clustered
+    400 x 200 inputs, so the backoff guards correctness as well as time.
+    The error bound also assumes that the start block has a component
+    along the wanted vector.  ``extras`` counts the steps the SVD decided
+    (``svd_fallbacks``) and the sweeps run (``solve_sweeps``).
     """
     arr = _check_css_input(chi, k)
-    q, r, perm, e = _working(qr_unpivoted(arr))
+    r, perm, _ = _working(qr_unpivoted(arr))
     p = arr.shape[1]
-    if p > _B1_SMALL:
+    if p > _SMALL:
         # fixed start vectors, so that reruns take the same route
         start = np.random.default_rng(0).standard_normal((p, _B1_BLOCK))
         fresh = start[:, 0]
@@ -340,7 +353,7 @@ def css_b1(chi, k: int) -> CssResult:
     backoff = _Backoff()
     for ell in range(p, k, -1):
         m = None
-        if ell > _B1_SMALL and backoff.attempt() and np.all(np.diag(r)[:ell] != 0.0):
+        if ell > _SMALL and backoff.attempt() and np.all(np.diag(r)[:ell] != 0.0):
             m, ritz, used = _b1_certified_argmax(np.ascontiguousarray(r[:ell, :ell]),
                                                  start)
             sweeps += used
@@ -350,14 +363,14 @@ def css_b1(chi, k: int) -> CssResult:
             _, _, vt = np.linalg.svd(r[:ell, :ell])
             m = int(np.argmax(np.abs(vt[-1])))
             ritz = vt[: -_B1_BLOCK - 1: -1].T
-        _exchange(q, r, perm, m, ell - 1, ell)
-        if ell - 1 > _B1_SMALL:
+        _exchange(r, perm, m, ell - 1, ell)
+        if ell - 1 > _SMALL:
             # the exchange moves column ell-1 to m and drops the old column m
             start = ritz[:, 1:].copy()
             start[m] = start[ell - 1]
             start = np.column_stack([start[: ell - 1], fresh[: ell - 1]])
     extras = {"svd_fallbacks": fallbacks, "solve_sweeps": sweeps}
-    return _result("b1", k, perm, q, r, e, extras=extras)
+    return _result("b1", arr, k, perm, extras=extras)
 
 
 def _gram_certified_pick(block, d: int):
@@ -399,23 +412,23 @@ def _greedy_front(arr, k: int, subspace: bool):
     # for l = 1..k: take the dominant right singular vector (b4) or the
     # k-l+1 dominant ones (b3) of the trailing block, swap the column with
     # the largest norm in them to the front and re-QR the trailing block;
-    # also returns the number of steps the SVD decided
+    # returns perm and the number of steps the SVD decided
     p = arr.shape[1]
-    q, r, perm, e = _working(qr_unpivoted(arr))
+    r, perm, _ = _working(qr_unpivoted(arr))
     backoff = _Backoff()
     fallbacks = 0
     for i in range(k):
         d = k - i if subspace else 1
         m = None
-        if p - i > _GREEDY_SMALL and backoff.attempt():
+        if p - i > _SMALL and backoff.attempt():
             m = _gram_certified_pick(r[i:, i:], d)
             backoff.record(m is not None)
         if m is None:
             fallbacks += 1
             _, _, vt = np.linalg.svd(r[i:, i:])
             m = int(np.argmax(np.linalg.norm(vt[:d], axis=0)))
-        _exchange(q, r, perm, i, i + m, p)
-    return q, r, perm, e, fallbacks
+        _exchange(r, perm, i, i + m, p)
+    return perm, fallbacks
 
 
 def css_b4(chi, k: int) -> CssResult:
@@ -438,8 +451,8 @@ def css_b4(chi, k: int) -> CssResult:
     ties never pass.  Otherwise the SVD of the block decides, as it does
     for blocks of 32 or fewer columns and, as in :func:`css_b1`, for the
     next 2^(f-2) - 1 steps after f >= 2 uncertified steps in a row.  On a
-    certified step both routes pick the same column and the exchange is the
-    same, so the factors do not depend on which route ran.  On the
+    certified step both routes pick the same column, so ``perm`` is the
+    SVD's at every step; the factors are the QR of ``chi[:, perm]``.  On the
     benchmark's pools the SVD decided 0 of 800 steps on ships 400x200
     (k = 40), 0 of 640 on ships 200x100 (k = 20) and 3840 of 11880 on
     Kahan n = 100 (k = 99: the first step of each matrix and the 31 steps
@@ -447,8 +460,8 @@ def css_b4(chi, k: int) -> CssResult:
     the steps the SVD decided.
     """
     arr = _check_css_input(chi, k)
-    q, r, perm, e, fallbacks = _greedy_front(arr, k, subspace=False)
-    return _result("b4", k, perm, q, r, e, extras={"svd_fallbacks": fallbacks})
+    perm, fallbacks = _greedy_front(arr, k, subspace=False)
+    return _result("b4", arr, k, perm, extras={"svd_fallbacks": fallbacks})
 
 
 def css_b3(chi, k: int, chi_svd: SvdFactors | None = None) -> CssResult:
@@ -470,12 +483,12 @@ def css_b3(chi, k: int, chi_svd: SvdFactors | None = None) -> CssResult:
     when it is already known, otherwise it is computed here.
     """
     arr = _check_css_input(chi, k)
-    q, r, perm, e, fallbacks = _greedy_front(arr, k, subspace=True)
+    perm, fallbacks = _greedy_front(arr, k, subspace=True)
     if chi_svd is None:
         chi_svd = svd(arr)
     extras = {"v11_inv_norm": v11_inverse_norm(chi_svd, perm, k),
               "svd_fallbacks": fallbacks}
-    return _result("b3", k, perm, q, r, e, extras=extras)
+    return _result("b3", arr, k, perm, extras=extras)
 
 
 def v11_inverse_norm(chi_svd: SvdFactors, perm, k: int) -> float:
@@ -545,7 +558,7 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None) -> CssResult:
     cfg = cfg or SrrqrConfig()
     arr = _check_css_input(chi, k)
     p = arr.shape[1]
-    q, r, perm, e = _working(qr_col_pivoted(arr))
+    r, perm, e = _working(qr_col_pivoted(arr))
     if np.any(np.diag(r)[:k] == 0.0):
         raise NumericalFailureError(
             "initial pivoted QR has a singular leading block; reduce k"
@@ -566,7 +579,7 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None) -> CssResult:
             break
         i, j = np.unravel_index(int(np.argmax(rho)), rho.shape)
         b = k + int(j)
-        _exchange(q, r, perm, int(i), b, b + 1)
+        _exchange(r, perm, int(i), b, b + 1)
         swaps += 1
         logdet_history.append(logdet())
     extras = {
@@ -575,7 +588,7 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None) -> CssResult:
         "f": cfg.f,
         "logdet_history": logdet_history,
     }
-    return _result("srrqr", k, perm, q, r, e, swap_count=swaps, extras=extras)
+    return _result("srrqr", arr, k, perm, swap_count=swaps, extras=extras)
 
 
 def run_css(chi, chi_svd: SvdFactors, algorithm: str, policy: RankPolicy,

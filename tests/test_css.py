@@ -133,25 +133,29 @@ class TestCssB1:
                 assert lhs <= rhs + 1e-8 * sigma[0]
 
 
+# the references return perm only: a result's factors are the QR of
+# chi[:, perm] (TestFactorsOfTheSelectedOrder), so equal perms mean equal factors
+
+
 def _reference_b1(chi, k):
-    # b1 with every pick taken from the full SVD of the leading block
-    q, r, perm, e = _working(qr_unpivoted(chi))
+    # b1's perm with every pick taken from the full SVD of the leading block
+    r, perm, _ = _working(qr_unpivoted(chi))
     for ell in range(chi.shape[1], k, -1):
         _, _, vt = np.linalg.svd(r[:ell, :ell])
         m = int(np.argmax(np.abs(vt[-1])))
-        _exchange(q, r, perm, m, ell - 1, ell)
-    return perm, q, np.ldexp(r, e)
+        _exchange(r, perm, m, ell - 1, ell)
+    return perm
 
 
 def _reference_greedy(chi, k, subspace):
-    # b4 (subspace=False) and b3 with every pick taken from the full SVD of
-    # the trailing block
-    q, r, perm, e = _working(qr_unpivoted(chi))
+    # b4's (subspace=False) or b3's perm with every pick taken from the full
+    # SVD of the trailing block
+    r, perm, _ = _working(qr_unpivoted(chi))
     for i in range(k):
         _, _, vt = np.linalg.svd(r[i:, i:])
         m = int(np.argmax(np.linalg.norm(vt[: k - i if subspace else 1], axis=0)))
-        _exchange(q, r, perm, i, i + m, chi.shape[1])
-    return perm, q, np.ldexp(r, e)
+        _exchange(r, perm, i, i + m, chi.shape[1])
+    return perm
 
 
 def _ships(n, p, k, seed):
@@ -189,11 +193,7 @@ class TestCssB1InverseIteration:
     def test_bit_identical_to_exact_svd_picks(self, case):
         make, k = B1_ITERATION_CASES[case]
         chi = make()
-        res = css_b1(chi, k)
-        perm, q, r = _reference_b1(chi, k)
-        assert np.array_equal(res.perm, perm)
-        assert np.array_equal(res.factors.q, q)
-        assert np.array_equal(res.factors.r, r)
+        assert np.array_equal(css_b1(chi, k).perm, _reference_b1(chi, k))
 
     def test_iteration_decides_most_ships_steps(self):
         chi = _ships(200, 100, 20, 0)
@@ -205,9 +205,7 @@ class TestCssB1InverseIteration:
         chi = _near_tie_matrix()
         res = css_b1(chi, 16)
         assert res.extras["svd_fallbacks"] >= 1
-        perm, q, r = _reference_b1(chi, 16)
-        assert np.array_equal(res.perm, perm)
-        assert np.array_equal(res.factors.r, r)
+        assert np.array_equal(res.perm, _reference_b1(chi, 16))
 
     @pytest.mark.parametrize("j", (-600, 600))
     def test_scaled_input_same_perm(self, j):
@@ -243,11 +241,7 @@ class TestGreedyGramRoute:
         make, k = GREEDY_CASES[case]
         fn, subspace = GREEDY_ALGS[alg]
         chi = make()
-        res = fn(chi, k)
-        perm, q, r = _reference_greedy(chi, k, subspace)
-        assert np.array_equal(res.perm, perm)
-        assert np.array_equal(res.factors.q, q)
-        assert np.array_equal(res.factors.r, r)
+        assert np.array_equal(fn(chi, k).perm, _reference_greedy(chi, k, subspace))
 
     @pytest.mark.parametrize("alg", GREEDY_ALGS)
     def test_duplicate_columns_fall_back_to_the_svd(self, alg):
@@ -255,9 +249,7 @@ class TestGreedyGramRoute:
         chi = _duplicate_column_matrix()
         res = fn(chi, 4)
         assert res.extras["svd_fallbacks"] >= 1
-        perm, q, r = _reference_greedy(chi, 4, subspace)
-        assert np.array_equal(res.perm, perm)
-        assert np.array_equal(res.factors.r, r)
+        assert np.array_equal(res.perm, _reference_greedy(chi, 4, subspace))
 
     @pytest.mark.parametrize("alg", GREEDY_ALGS)
     def test_tiny_trailing_columns(self, alg):
@@ -270,10 +262,7 @@ class TestGreedyGramRoute:
         chi = np.random.default_rng(9).standard_normal((120, 60))
         chi[:, 20:] = np.ldexp(chi[:, 20:], -600)
         res = fn(chi, 30)
-        perm, q, r = _reference_greedy(chi, 30, subspace)
-        assert np.array_equal(res.perm, perm)
-        assert np.array_equal(res.factors.q, q)
-        assert np.array_equal(res.factors.r, r)
+        assert np.array_equal(res.perm, _reference_greedy(chi, 30, subspace))
         if not subspace:
             assert res.extras["svd_fallbacks"] <= 2
         # 2^-400, not 2^-600: the latter puts the tiny columns at 2^-1200,
@@ -305,6 +294,28 @@ class TestGreedyGramRoute:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         fn(*args)
         assert len(calls) <= 2
+
+
+class TestFactorsOfTheSelectedOrder:
+    """A result's factors are the QR of chi[:, perm], whatever the route."""
+
+    CASES = {
+        "ships200": (lambda: _ships(200, 100, 20, 0), 20),
+        "kahan100": (lambda: gen_kahan(100, 0.9), 99),
+        "caution": (None, 2),
+    }
+
+    @pytest.mark.parametrize("alg", ALL_ALGS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_factors_are_the_qr_of_the_selected_order(self, case, alg, caution_matrix):
+        make, k = self.CASES[case]
+        base = caution_matrix if make is None else make()
+        for j in (0, -600, 600):
+            chi = np.ldexp(base, j)
+            res = ALL_ALGS[alg](chi, k)
+            fac = qr_unpivoted(chi[:, res.perm])
+            assert np.array_equal(res.factors.q, fac.q), j
+            assert np.array_equal(res.factors.r, fac.r), j
 
 
 class TestCssB4:
