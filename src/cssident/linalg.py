@@ -1,9 +1,11 @@
 """Dense matrix primitives: QR, SVD, residual norms, condition numbers.
 
-All factorizations follow a nonnegative-diagonal convention for the
-triangular factor: after the backend Householder QR, each column of Q and
-row of R is sign-flipped so that diag(R) >= 0.  Permutations are stored as
-index arrays ``perm`` with the meaning ``a[:, perm] == q @ r``.
+Every :class:`QrFactors` is the unpivoted QR of its column order: a
+pivoted search decides only ``perm``, and the factors are the QR of
+``a[:, perm]``.  They follow one nonnegative-diagonal convention, applied
+in :func:`qr_unpivoted`: after the backend Householder QR, each column of
+Q and row of R is sign-flipped so that diag(R) >= 0.  Permutations are
+stored as index arrays ``perm`` with the meaning ``a[:, perm] == q @ r``.
 """
 from __future__ import annotations
 
@@ -53,10 +55,11 @@ def check_perm(perm, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QrFactors:
-    """Pivoted QR factors with ``a[:, perm] == q @ r``.
+    """QR factors of the column order ``perm``: ``a[:, perm] == q @ r``.
 
     q is n x p with orthonormal columns, r is p x p upper triangular with
-    nonnegative diagonal, perm is the column permutation image.
+    nonnegative diagonal, perm is the column permutation image.  q and r
+    are the unpivoted QR of ``a[:, perm]``, whichever route chose perm.
     """
 
     perm: np.ndarray
@@ -135,13 +138,13 @@ def qr_unpivoted(a) -> QrFactors:
     return QrFactors(perm=identity_perm(arr.shape[1]), q=q, r=r)
 
 
-def _householder_pivoted(r: np.ndarray):
-    # greedy max-column-norm Householder QR of the tall matrix r, in place:
-    # norms recomputed from the trailing block, ties to the lowest index;
-    # returns (q, upper triangular r, perm) with no sign fix
-    n, p = r.shape
+def _householder_pivoted(r: np.ndarray) -> np.ndarray:
+    # the column order of greedy max-column-norm Householder QR of the tall
+    # matrix r, which it overwrites: norms recomputed from the trailing block,
+    # ties to the lowest index.  Only the order is kept; the factors of that
+    # order are taken afterwards by one unpivoted QR
+    p = r.shape[1]
     perm = identity_perm(p)
-    reflectors: list[tuple[int, np.ndarray] | None] = []
     for j in range(p):
         norms = np.linalg.norm(r[j:, j:], axis=0)
         m = j + int(np.argmax(norms))
@@ -151,21 +154,12 @@ def _householder_pivoted(r: np.ndarray):
         x = r[j:, j]
         normx = np.linalg.norm(x)
         if normx == 0.0:
-            reflectors.append(None)
             continue
         v = x.copy()
         v[0] += normx if v[0] >= 0 else -normx
         v /= np.linalg.norm(v)
         r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        r[j + 1:, j] = 0.0
-        reflectors.append((j, v))
-    q = np.eye(n, p)
-    for item in reversed(reflectors):
-        if item is None:
-            continue
-        j, v = item
-        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-    return q, np.triu(r[:p, :]), perm
+    return perm
 
 
 def _rounding_bound(n: int, norm_a, norm_b):
@@ -208,20 +202,23 @@ def _replay_swaps(piv: np.ndarray, steps: int) -> np.ndarray:
 def qr_col_pivoted(a) -> QrFactors:
     """Householder QR with classical greedy max-column-norm pivoting.
 
-    At each step the pivot is the remaining column with the largest
+    A search decides the column order; the factors are the QR of that
+    order.  At each step the pivot is the remaining column with the largest
     2-norm of the updated trailing block; ties break to the lowest index.
-    |diag(r)| is nonincreasing.  The factorization runs on a copy scaled
-    by an exact power of two, so the column norms cannot over- or
-    underflow and the pivots do not depend on the input's units.
+    The search runs on a copy scaled by an exact power of two, so the
+    column norms cannot over- or underflow and the pivots do not depend on
+    the input's units.  The factors are ``qr_unpivoted`` of a fresh copy of
+    the scaled columns in ``perm`` order, with r scaled back, so |diag(r)|
+    is nonincreasing up to rounding.
 
-    LAPACK's blocked pivoted QR (``dgeqp3``) computes the factorization,
-    and its pivots are kept for as long as each one beats the runner-up by
-    more than a rounding bound of 16 n eps (||a_pivot|| + ||a_runner||);
-    the trailing norms are read from its R.  From the first step that
-    bound does not certify, a Householder loop with norms recomputed from
-    the trailing block and lowest-index ties decides the rest, on LAPACK's
+    LAPACK's blocked pivoted QR (``dgeqp3``) proposes the order, and its
+    pivots are kept for as long as each one beats the runner-up by more
+    than a rounding bound of 16 n eps (||a_pivot|| + ||a_runner||); the
+    trailing norms are read from its R.  From the first step that bound
+    does not certify, a Householder loop with norms recomputed from the
+    trailing block and lowest-index ties decides the rest, on LAPACK's
     trailing block.  When the two largest input columns already lie within
-    the bound (Kahan matrices, equal-norm columns), that loop factors the
+    the bound (Kahan matrices, equal-norm columns), that loop orders the
     whole input.  Pivots among trailing norms below the rounding level are
     set by rounding.
     """
@@ -233,21 +230,18 @@ def qr_col_pivoted(a) -> QrFactors:
     col_norms = np.linalg.norm(s, axis=0)
     top = np.sort(col_norms)[-2:]
     if p > 1 and top[1] - top[0] <= _rounding_bound(n, top[1], top[0]):
-        q, r, perm = _householder_pivoted(s)
+        perm = _householder_pivoted(s)
     else:
-        q, r, perm = sla.qr(s, mode="economic", pivoting=True, check_finite=False)
-        perm = perm.astype(int)
+        r, perm = sla.qr(s, mode="r", pivoting=True, check_finite=False)
+        r, perm = r[:p], perm.astype(int)
         done = _certified_prefix(r, col_norms[perm], n)
         if done < p:
             # the loop's column order at step `done`, as columns of r
             cols = np.argsort(perm)[_replay_swaps(perm, done)]
-            q2, r2, perm2 = _householder_pivoted(r[done:, cols[done:]])
-            cols[done:] = cols[done:][perm2]
-            perm, r = perm[cols], r[:, cols]
-            r[done:, done:] = r2
-            q[:, done:] = q[:, done:] @ q2
-    q, r = _nonneg_diag(q, np.ldexp(r, e))
-    return QrFactors(perm=perm, q=q, r=r)
+            cols[done:] = cols[done:][_householder_pivoted(r[done:, cols[done:]])]
+            perm = perm[cols]
+    fac = qr_unpivoted(np.ldexp(arr[:, perm], -e))
+    return QrFactors(perm=perm, q=fac.q, r=np.ldexp(fac.r, e))
 
 
 def svd(a) -> SvdFactors:

@@ -26,7 +26,7 @@ from cssident import (
 )
 from cssident.bench import realize
 from cssident.css import _exchange, _gram_certified_pick, _working
-from cssident.metrics import compute_metrics
+from cssident.metrics import compute_metrics, theorem_bound_checks
 
 
 ALL_ALGS = {
@@ -599,3 +599,24 @@ def test_split_unchanged_under_power_of_two_scaling(case):
         base = _split_or_error(fn, a, k)
         for j in (-600, -64, 64, 600):
             assert _split_or_error(fn, np.ldexp(a, j), k) == base, (name, j)
+
+
+@settings(max_examples=60)
+@given(case=_tall_with_duplicates(), e=st.sampled_from((0, 600, -600)))
+def test_interlacing_holds_for_every_algorithm(case, e):
+    """sigma_j(R11) <= sigma_j(chi) and sigma_j(R22) >= sigma_{k+j}(chi)
+    within the checks' slack, for every algorithm's split."""
+    a, k = case
+    a = np.ldexp(a, e)
+    try:
+        chi_svd = svd(a)
+    except CssIdentError:
+        return
+    for name, fn in ALL_ALGS.items():
+        try:
+            result = fn(a, k)
+        except CssIdentError:
+            continue
+        failed = [c.name for c in theorem_bound_checks(chi_svd, result)
+                  if c.name.startswith("interlacing-") and not c.satisfied]
+        assert not failed, (name, failed)

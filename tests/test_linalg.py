@@ -18,7 +18,7 @@ from cssident import (
     svir_sensitivity,
 )
 from cssident.generators import realize
-from cssident.linalg import _EPS, _nonneg_diag, _pow2_exponent, orthonormal_range
+from cssident.linalg import _EPS, _pow2_exponent, orthonormal_range
 
 
 class TestQrUnpivoted:
@@ -96,13 +96,13 @@ class TestQrColPivoted:
 
 def _greedy_loop_reference(a):
     """Greedy max-column-norm Householder QR on the power-of-two-scaled
-    input, norms recomputed per step, ties to the lowest index: the
-    factorization qr_col_pivoted must reproduce.  Returns (perm, q, r)."""
-    n, p = a.shape
+    input, norms recomputed per step, ties to the lowest index: the order
+    qr_col_pivoted must choose.  Returns (perm, r), r with a nonnegative
+    diagonal."""
+    p = a.shape[1]
     e = _pow2_exponent(a)
     r = np.ldexp(a, -e)
     perm = np.arange(p)
-    reflectors = []
     for j in range(p):
         m = j + int(np.argmax(np.linalg.norm(r[j:, j:], axis=0)))
         r[:, [j, m]] = r[:, [m, j]]
@@ -116,12 +116,8 @@ def _greedy_loop_reference(a):
         v /= np.linalg.norm(v)
         r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
         r[j + 1:, j] = 0.0
-        reflectors.append((j, v))
-    q = np.eye(n, p)
-    for j, v in reversed(reflectors):
-        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-    q, r = _nonneg_diag(q, np.ldexp(np.triu(r[:p, :]), e))
-    return perm, q, r
+    r = np.ldexp(np.triu(r[:p, :]), e)
+    return perm, r * np.where(np.diag(r) < 0, -1.0, 1.0)[:, None]
 
 
 def _shapes_the_loop_ran_on(monkeypatch, a):
@@ -161,7 +157,7 @@ class TestQrColPivotedRoutes:
     def test_fully_certified(self, monkeypatch, a):
         fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
         assert shapes == []
-        perm, _, r = _greedy_loop_reference(a)
+        perm, r = _greedy_loop_reference(a)
         assert np.array_equal(fac.perm, perm)
         assert np.max(np.abs(fac.r - r)) <= 1e-13 * np.max(np.abs(r))
 
@@ -170,7 +166,7 @@ class TestQrColPivotedRoutes:
         a = _ships(n, p)
         fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
         assert len(shapes) == 1 and shapes[0][0] == shapes[0][1] < p
-        perm, _, r = _greedy_loop_reference(a)
+        perm, r = _greedy_loop_reference(a)
         assert np.array_equal(fac.perm, perm)
         assert np.max(np.abs(fac.r - r)) <= 1e-13 * np.max(np.abs(r))
         fac.validate(a)
@@ -188,9 +184,10 @@ class TestQrColPivotedRoutes:
         a[1, 2] = 1.0
         a[0, 3] = 3.0
 
-        def misordered_qr(s, **_):
+        def misordered_qr(s, mode, **_):
+            assert mode == "r"
             piv = np.array([3, 2, 0, 1], dtype=np.int32)
-            return (*np.linalg.qr(s[:, piv]), piv)
+            return np.linalg.qr(s[:, piv], mode="r"), piv
 
         monkeypatch.setattr(linalg.sla, "qr", misordered_qr)
         fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
@@ -206,9 +203,31 @@ class TestQrColPivotedRoutes:
     def test_step0_tie_is_the_loop_bit_for_bit(self, monkeypatch, a):
         fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
         assert shapes == [a.shape]
-        perm, q, r = _greedy_loop_reference(a)
-        assert np.array_equal(fac.perm, perm)
-        assert np.array_equal(fac.q, q) and np.array_equal(fac.r, r)
+        assert np.array_equal(fac.perm, _greedy_loop_reference(a)[0])
+
+
+_ROUTE_INPUTS = {
+    "kahan-100": lambda: realize(
+        {"family": "kahan", "n": 100, "zeta_range": [0.9, 0.99999]}, 0),
+    "eye-3": lambda: np.eye(3),
+    "equal-leading-norms": _equal_leading_norms,
+    "ships-400x200": lambda: _ships(400, 200),
+    "gaussian-31x4": lambda: realize({"family": "gaussian", "n": 31, "p": 4}, 0),
+    "svir-31x4": lambda: svir_sensitivity(NOMINAL_SVIR),
+}
+
+
+@pytest.mark.parametrize("name", _ROUTE_INPUTS)
+def test_factors_are_the_qr_of_the_column_order(name):
+    """On every route (step-0 tie, certified prefix then loop, fully
+    certified) the factors are qr_unpivoted of the scaled columns in perm
+    order, with r scaled back, bit for bit."""
+    a = _ROUTE_INPUTS[name]()
+    fac = qr_col_pivoted(a)
+    e = _pow2_exponent(a)
+    ref = qr_unpivoted(np.ldexp(a[:, fac.perm], -e))
+    assert np.array_equal(fac.q, ref.q)
+    assert np.array_equal(fac.r, np.ldexp(ref.r, e))
 
 
 # entries are 0 or at least 1e-3 in magnitude, so a 2^-600 scaling stays

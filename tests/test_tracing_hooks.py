@@ -6,9 +6,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cssident import odesens
+from cssident import css, odesens
+from cssident.bench import realize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,3 +36,27 @@ def test_hooked_parameters_are_where_the_hooks_read_them():
     assert list(inspect.signature(odesens.integrate).parameters) == [
         "rhs", "x0", "grid", "substeps"]
     assert list(inspect.signature(odesens.svir_sensitivity).parameters)[3] == "method"
+
+
+def test_selections_call_the_traced_qr_bindings(monkeypatch):
+    # the tracer counts linalg.qr_col_pivoted and linalg.qr_unpivoted through
+    # css's from-import bindings; a start that bypassed them would zero those
+    # per-layer counts while every patch target still resolved
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(a):
+            calls.append((name, np.array(a, copy=True)))
+            return fn(a)
+        return wrapper
+
+    for name in ("qr_col_pivoted", "qr_unpivoted"):
+        monkeypatch.setattr(css, name, counting(name, getattr(css, name)))
+    chi = realize({"family": "ships", "n": 80, "p": 40, "spectrum": {"k": 8}}, 0)
+    for algorithm in ("b1", "b4", "b3", "srrqr"):
+        calls.clear()
+        getattr(css, f"css_{algorithm}")(chi, 8)
+        names = [name for name, _ in calls]
+        start = "qr_col_pivoted" if algorithm == "srrqr" else "qr_unpivoted"
+        assert names[0] == start and np.array_equal(calls[0][1], chi), algorithm
+        assert names.count("qr_col_pivoted") == (algorithm == "srrqr"), algorithm
