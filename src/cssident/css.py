@@ -4,11 +4,13 @@ Each algorithm returns a :class:`CssResult` whose permutation splits the
 input columns into ``identifiable`` (first k) and ``unidentifiable``
 (remaining p - k).  The selection loops carry only the triangular factor
 R and ``perm``.  Every step is one column exchange (:func:`_exchange`):
-columns a <= b of R are swapped, the block ``r[a:end, a:end]`` is
-re-factored by an unpivoted QR with a nonnegative diagonal, and the
-result is applied to ``r[a:end, end:]``.  b1 and srrqr restore only the
-disturbed block (end = b + 1), b4 and b3 the whole trailing block
-(end = p).  Magnitude ties break to the lowest index.  Every step runs on
+columns a <= b of R are swapped and the block ``r[a:end, a:end]`` is
+re-factored by an unpivoted QR with a nonnegative diagonal.  b1 and
+srrqr restore only the disturbed block (end = b + 1), b4 and b3 the
+whole trailing block (end = p).  b1, b4 and b3 take that block's R
+alone, because no later step reads the columns past end; srrqr applies
+the block's Q^T to ``r[a:end, end:]``, because its rho reads R12 and
+R22.  Magnitude ties break to the lowest index.  Every step runs on
 R scaled by the exact power of two that brings max|r| into [0.5, 1), so
 each decision, ties included, is the same whatever the input's units.
 A result's factors are the QR of ``chi[:, perm]``, computed once from the
@@ -46,6 +48,7 @@ from .linalg import (
     SvdFactors,
     _nonneg_diag,
     _pow2_exponent,
+    _qr_r,
     _require_tall,
     check_matrix,
     qr_col_pivoted,
@@ -214,11 +217,17 @@ def _working(fac: QrFactors):
 
 
 def _exchange(r, perm, a: int, b: int, end: int) -> None:
-    # swap columns a <= b < end, re-QR r[a:end, a:end] with a nonnegative
-    # diagonal and apply it to r[a:end, end:]; rows above a and below end
-    # stay triangular, so r stays an R factor of a[:, perm], scaled
+    # swap columns a <= b < end and re-QR r[a:end, a:end] with a nonnegative
+    # diagonal; rows above a and below end stay triangular, so r stays an R
+    # factor of the leading r.shape[1] columns of a[:, perm], scaled.
+    # Columns past end take the block's Q^T; when r has none (end =
+    # r.shape[1]) the block's R is taken alone and no Q is formed.  A
+    # caller whose later steps read no column past end passes r[:end, :end]
     r[:, [a, b]] = r[:, [b, a]]
     perm[[a, b]] = perm[[b, a]]
+    if end == r.shape[1]:
+        r[a:end, a:end] = _qr_r(r[a:end, a:end])
+        return
     qt, r[a:end, a:end] = _nonneg_diag(*np.linalg.qr(r[a:end, a:end]))
     r[a:end, end:] = qt.T @ r[a:end, end:]
 
@@ -363,7 +372,9 @@ def css_b1(chi, k: int) -> CssResult:
             _, _, vt = np.linalg.svd(r[:ell, :ell])
             m = int(np.argmax(np.abs(vt[-1])))
             ritz = vt[: -_B1_BLOCK - 1: -1].T
-        _exchange(r, perm, m, ell - 1, ell)
+        # later steps read only r[:ell - 1, :ell - 1], so the columns past
+        # ell are left as they are
+        _exchange(r[:ell, :ell], perm, m, ell - 1, ell)
         if ell - 1 > _SMALL:
             # the exchange moves column ell-1 to m and drops the old column m
             start = ritz[:, 1:].copy()

@@ -111,11 +111,24 @@ class SvdFactors:
         return self.u @ (self.sigma[:, None] * self.v.T)
 
 
-def _nonneg_diag(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # flip signs per column so diag(r) >= 0; zero diagonal keeps +1
+def _nonneg_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the row signs s that make diag(r) >= 0, a zero diagonal keeping +1, and
+    # r with its rows flipped by them and exact zeros below the diagonal
     s = np.sign(np.diag(r))
     s[s == 0] = 1.0
-    return q * s, np.triu(r * s[:, None])
+    return s, np.triu(r * s[:, None])
+
+
+def _nonneg_diag(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # flip signs per column of q and row of r so diag(r) >= 0
+    s, r = _nonneg_rows(r)
+    return q * s, r
+
+
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    # the R of qr_unpivoted(a), bit for bit, without forming Q: both modes of
+    # np.linalg.qr run the same dgeqrf on the same copy of a
+    return _nonneg_rows(np.linalg.qr(a, mode="r"))[1]
 
 
 def _pow2_exponent(a: np.ndarray) -> int:
@@ -138,6 +151,22 @@ def qr_unpivoted(a) -> QrFactors:
     return QrFactors(perm=identity_perm(arr.shape[1]), q=q, r=r)
 
 
+# below this column norm the squares of a column's entries may underflow
+# (they lose bits below about 2^-1022, so for norms below about 2^-511)
+_TINY_NORM = 2.0 ** -480
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    # 2-norms of the columns of a; those below _TINY_NORM are recomputed from
+    # a copy scaled by 2^600, so they keep their relative accuracy.  Every
+    # other norm keeps the bits of np.linalg.norm
+    norms = np.linalg.norm(a, axis=0)
+    tiny = norms < _TINY_NORM
+    if np.any(tiny):
+        norms[tiny] = np.ldexp(np.linalg.norm(np.ldexp(a[:, tiny], 600), axis=0), -600)
+    return norms
+
+
 def _householder_pivoted(r: np.ndarray) -> np.ndarray:
     # the column order of greedy max-column-norm Householder QR of the tall
     # matrix r, which it overwrites: norms recomputed from the trailing block,
@@ -146,8 +175,7 @@ def _householder_pivoted(r: np.ndarray) -> np.ndarray:
     p = r.shape[1]
     perm = identity_perm(p)
     for j in range(p):
-        norms = np.linalg.norm(r[j:, j:], axis=0)
-        m = j + int(np.argmax(norms))
+        m = j + int(np.argmax(_column_norms(r[j:, j:])))
         if m != j:
             r[:, [j, m]] = r[:, [m, j]]
             perm[[j, m]] = perm[[m, j]]

@@ -26,6 +26,7 @@ from cssident import (
 )
 from cssident.bench import realize
 from cssident.css import _exchange, _gram_certified_pick, _working
+from cssident.linalg import _nonneg_diag
 from cssident.metrics import compute_metrics, theorem_bound_checks
 
 
@@ -137,13 +138,23 @@ class TestCssB1:
 # chi[:, perm] (TestFactorsOfTheSelectedOrder), so equal perms mean equal factors
 
 
+def _full_exchange(r, perm, a, b, end):
+    # the exchange with Q formed and applied to every column past end; the
+    # references use it, so they do not share css._exchange's R-only route
+    # and can catch a drift in it
+    r[:, [a, b]] = r[:, [b, a]]
+    perm[[a, b]] = perm[[b, a]]
+    qt, r[a:end, a:end] = _nonneg_diag(*np.linalg.qr(r[a:end, a:end]))
+    r[a:end, end:] = qt.T @ r[a:end, end:]
+
+
 def _reference_b1(chi, k):
     # b1's perm with every pick taken from the full SVD of the leading block
     r, perm, _ = _working(qr_unpivoted(chi))
     for ell in range(chi.shape[1], k, -1):
         _, _, vt = np.linalg.svd(r[:ell, :ell])
         m = int(np.argmax(np.abs(vt[-1])))
-        _exchange(r, perm, m, ell - 1, ell)
+        _full_exchange(r, perm, m, ell - 1, ell)
     return perm
 
 
@@ -154,7 +165,7 @@ def _reference_greedy(chi, k, subspace):
     for i in range(k):
         _, _, vt = np.linalg.svd(r[i:, i:])
         m = int(np.argmax(np.linalg.norm(vt[: k - i if subspace else 1], axis=0)))
-        _exchange(r, perm, i, i + m, chi.shape[1])
+        _full_exchange(r, perm, i, i + m, chi.shape[1])
     return perm
 
 
@@ -294,6 +305,53 @@ class TestGreedyGramRoute:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         fn(*args)
         assert len(calls) <= 2
+
+
+EXCHANGE_CASES = {
+    "ships200": lambda: _ships(200, 100, 20, 0),
+    "kahan-0.99999": lambda: gen_kahan(100, 0.99999),
+}
+
+
+class TestExchange:
+    """Where no later step reads the columns past the re-factored block,
+    the exchange takes R alone; the R it keeps is the full exchange's."""
+
+    @pytest.mark.parametrize("case", EXCHANGE_CASES)
+    def test_r_only_exchange_keeps_the_full_exchanges_bits(self, case):
+        start, start_perm, _ = _working(qr_unpivoted(EXCHANGE_CASES[case]()))
+        p = start.shape[1]
+        for a, b in ((0, 0), (0, 57), (13, 99), (40, 41), (98, 99)):
+            # b4's and b3's form (end = p), then b1's (the leading block)
+            for end in (p, b + 1):
+                r, perm = start.copy(), start_perm.copy()
+                _exchange(r[:end, :end], perm, a, b, end)
+                ref, ref_perm = start.copy(), start_perm.copy()
+                _full_exchange(ref, ref_perm, a, b, end)
+                assert np.array_equal(r[:end, :end], ref[:end, :end]), (a, b, end)
+                assert np.array_equal(perm, ref_perm), (a, b, end)
+
+    def test_selections_form_q_only_where_a_later_step_reads_it(self, monkeypatch):
+        # every exchange re-factors a square block; the start and result QRs
+        # are 200 x 100 and b1's iteration QRs l x 4.  srrqr's rho reads R12
+        # and R22, so its exchanges still apply Q^T past the block
+        calls = []
+        numpy_qr = np.linalg.qr
+
+        def recording_qr(a, mode="reduced"):
+            calls.append((mode, a.shape))
+            return numpy_qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        chi = _ships(200, 100, 20, 0)
+        for alg, fn in ALL_ALGS.items():
+            calls.clear()
+            swaps = fn(chi, 20).swap_count
+            square = [mode for mode, (m, n) in calls if m == n]
+            if alg == "srrqr":
+                assert swaps >= 1 and square.count("reduced") == swaps
+            else:
+                assert square and set(square) == {"r"}, alg
 
 
 class TestFactorsOfTheSelectedOrder:

@@ -230,6 +230,54 @@ def test_factors_are_the_qr_of_the_column_order(name):
     assert np.array_equal(fac.r, np.ldexp(ref.r, e))
 
 
+def _tiny_pair(seed):
+    # one column of norm 0.75 and two of norm about 1e-160 within 3e-4 of
+    # each other, whose entries' squares underflow
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 3))
+    a[:, 0] *= 0.75 / np.linalg.norm(a[:, 0])
+    for j in (1, 2):
+        a[:, j] *= 1e-160 * (1 + 3e-4 * rng.random()) / np.linalg.norm(a[:, j])
+    return a
+
+
+@pytest.mark.parametrize("seed", (771, 1022, 2582, 3966))
+def test_pivots_among_columns_whose_squares_underflow(seed):
+    """The second pivot is the tiny column with the larger component
+    orthogonal to the first, taken on the tiny columns scaled by 2^600, and
+    the route and the loop on the whole input agree."""
+    a = _tiny_pair(seed)
+    q0 = a[:, 0] / np.linalg.norm(a[:, 0])
+    tiny = np.ldexp(a[:, 1:], 600)
+    second = 1 + int(np.argmax(np.linalg.norm(tiny - np.outer(q0, q0 @ tiny), axis=0)))
+    perm = qr_col_pivoted(a).perm
+    assert list(perm[:2]) == [0, second]
+    loop = linalg._householder_pivoted(np.ldexp(a, -_pow2_exponent(a)))
+    assert np.array_equal(perm, loop)
+
+
+def _triangular_with_swapped_columns():
+    r = np.triu(np.random.default_rng(1).standard_normal((100, 100)))
+    r[:, [3, 60]] = r[:, [60, 3]]
+    return r
+
+
+_R_ONLY_INPUTS = {
+    "gaussian-square": lambda: np.random.default_rng(0).standard_normal((120, 120)),
+    "triangular-swapped-columns": _triangular_with_swapped_columns,
+    "ships-400x200": lambda: _ships(400, 200),
+    "trailing-view": lambda: qr_unpivoted(_ships(200, 100)).r[37:, 37:],
+}
+
+
+@pytest.mark.parametrize("name", _R_ONLY_INPUTS)
+def test_r_only_qr_is_the_reduced_qrs_r(name):
+    """css's exchanges take R alone where nothing reads Q; they rely on both
+    modes of np.linalg.qr running the same dgeqrf on the same copy."""
+    a = _R_ONLY_INPUTS[name]()
+    assert np.array_equal(np.linalg.qr(a, mode="r"), np.linalg.qr(a)[1])
+
+
 # entries are 0 or at least 1e-3 in magnitude, so a 2^-600 scaling stays
 # exact even after the products of the low-rank draws; small integers make
 # exact ties between column norms common
