@@ -51,6 +51,16 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text())
 
 
+@functools.cache
+def schema_validator(name: str):
+    # built once per process: the schema is checked against its metaschema
+    # here, not on every request as jsonschema.validate would
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _given(args, *names) -> dict:
     # the flags the user set; the library's own defaults fill in the rest
     return {name: getattr(args, name) for name in names
@@ -130,11 +140,12 @@ def cmd_bench(args) -> int:
         raw = json.loads(Path(args.spec).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputDomainError(f"cannot read bench spec: {exc}") from exc
-    schema = load_schema("bench_spec.schema.json")
-    try:
-        jsonschema.validate(raw, schema)
-    except jsonschema.ValidationError as exc:
-        raise InputDomainError(f"bench spec violates schema: {exc.message}") from exc
+    validator = schema_validator("bench_spec.schema.json")
+    # jsonschema.validate's choice of error among several, without its
+    # per-call metaschema check
+    error = jsonschema.exceptions.best_match(validator.iter_errors(raw))
+    if error is not None:
+        raise InputDomainError(f"bench spec violates schema: {error.message}")
     spec = ExperimentSpec.from_dict(raw)
     report = run_experiment(spec)
     out_dir = Path(args.out_dir)

@@ -15,7 +15,7 @@ by an explicit flag instead of a silent NaN:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -45,7 +45,8 @@ class MetricsRecord:
     cond_chi: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so a shallow copy equals asdict's deep one
+        return dict(vars(self))
 
 
 def compute_metrics(chi, chi_svd: SvdFactors, result: CssResult) -> MetricsRecord:

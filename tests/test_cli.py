@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cssident
-from cssident import ALGORITHMS, SpectrumSpec, gen_ships, linalg
+from cssident import ALGORITHMS, SpectrumSpec, cli, gen_ships, linalg
 from cssident.bench import ExperimentSpec, read_rows_csv, realize, run_experiment
 from cssident.cli import load_schema, main
 from cssident.generators import FAMILIES
@@ -385,6 +386,20 @@ class TestEnvironmentIndependence:
         assert outputs[2] == outputs[0]
 
 
+SCHEMA_FILES = sorted(path.name for path in resources.files("cssident.schemas").iterdir()
+                      if path.name.endswith(".schema.json"))
+
+
+def test_seven_schemas_ship():
+    assert len(SCHEMA_FILES) == 7
+
+
+@pytest.mark.parametrize("name", SCHEMA_FILES)
+def test_shipped_schema_passes_its_metaschema(name):
+    schema = load_schema(name)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
 class TestBench:
     def _write_spec(self, tmp_path, payload):
         spec = tmp_path / "spec.json"
@@ -411,15 +426,60 @@ class TestBench:
         assert run_cli("bench", "--spec", str(spec),
                        "--out-dir", str(tmp_path / "o")) == 2
 
-    def test_schema_violation_exits_2(self, tmp_path):
-        spec = self._write_spec(tmp_path, {
-            "generator": {"family": "identity", "n": 4},
-            "algorithms": ["b7"],
-            "k_policy": {"mode": "fixed", "k": 2},
-            "realizations": 1,
-        })
+    VALID_SPEC = {
+        "generator": {"family": "identity", "n": 4},
+        "algorithms": ["b1"],
+        "k_policy": {"mode": "fixed", "k": 2},
+        "realizations": 1,
+    }
+
+    def _schema_error(self, tmp_path, capsys, payload) -> str:
+        spec = self._write_spec(tmp_path, payload)
         assert run_cli("bench", "--spec", str(spec),
                        "--out-dir", str(tmp_path / "o")) == 2
+        assert not (tmp_path / "o").exists()
+        return capsys.readouterr().err
+
+    def test_schema_violation_exits_2(self, tmp_path, capsys):
+        err = self._schema_error(tmp_path, capsys, self.VALID_SPEC | {"algorithms": ["b7"]})
+        assert err == ("error: bench spec violates schema: "
+                       "'b7' is not one of ['b1', 'b4', 'b3', 'srrqr']\n")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seeds": 3}, "Additional properties are not allowed ('seeds' was unexpected)"),
+        ({"k_policy": None}, "'k_policy' is a required property"),
+        ({"realizations": "1"}, "'1' is not of type 'integer'"),
+        # two errors: the algorithm is found first, but best_match reports
+        # the shallower one
+        ({"algorithms": ["b7"], "realizations": "1"}, "'1' is not of type 'integer'"),
+    ])
+    def test_schema_violation_message(self, tmp_path, capsys, change, message):
+        payload = {key: value for key, value in (self.VALID_SPEC | change).items()
+                   if value is not None}
+        err = self._schema_error(tmp_path, capsys, payload)
+        assert err == f"error: bench spec violates schema: {message}\n"
+
+    def test_spec_schema_checked_once_per_process(self, tmp_path, monkeypatch):
+        cli.schema_validator.cache_clear()
+        cls = jsonschema.validators.validator_for(load_schema("bench_spec.schema.json"))
+        check_schema = cls.check_schema
+        checked = []
+
+        def spy(klass, schema, *args, **kwargs):
+            checked.append(schema["title"])
+            return check_schema(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", classmethod(spy))
+        spec = self._write_spec(tmp_path, {
+            "generator": {"family": "gaussian", "n": 31, "p": 4},
+            "algorithms": ["b1"],
+            "k_policy": {"mode": "gap"},
+            "realizations": 1,
+        })
+        for out in ("o1", "o2"):
+            assert run_cli("bench", "--spec", str(spec),
+                           "--out-dir", str(tmp_path / out)) == 0
+        assert checked == ["Benchmark experiment specification"]
 
     @pytest.mark.parametrize("mode", ("absolute", "relative"))
     def test_threshold_policy_requires_eta(self, tmp_path, capsys, mode):

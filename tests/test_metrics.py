@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +16,23 @@ from cssident import (
     css_b4,
     css_srrqr,
     gram_loss_demo,
+    qr_unpivoted,
     svd,
     svir_sensitivity,
     theorem_bound_checks,
 )
+
+
+def _selection_missing_range(caution_matrix):
+    # an adversarially bad hand-made selection: keep both duplicates of one
+    # pair, so the rejected block is NOT spanned although sigma_3 = 0
+    perm = np.array([0, 2, 1, 3])
+    fac = qr_unpivoted(caution_matrix[:, perm])
+    return CssResult(
+        algorithm="b1", k=2,
+        factors=QrFactors(perm=perm, q=fac.q, r=fac.r),
+        identifiable=(0, 2), unidentifiable=(1, 3),
+    )
 
 
 class TestComputeMetrics:
@@ -40,23 +54,24 @@ class TestComputeMetrics:
         assert rec.residual <= 1e-12
 
     def test_infinite_flag_when_selection_misses_range(self, caution_matrix):
-        # an adversarially bad hand-made selection: keep both duplicates of
-        # one pair, so the rejected block is NOT spanned although
-        # sigma_3 = 0
-        from cssident.css import CssResult
-        from cssident.linalg import QrFactors, qr_unpivoted
-
-        perm = np.array([0, 2, 1, 3])
-        permuted = caution_matrix[:, perm]
-        fac = qr_unpivoted(permuted)
-        result = CssResult(
-            algorithm="b1", k=2,
-            factors=QrFactors(perm=perm, q=fac.q, r=fac.r),
-            identifiable=(0, 2), unidentifiable=(1, 3),
-        )
-        rec = compute_metrics(caution_matrix, svd(caution_matrix), result)
+        rec = compute_metrics(caution_matrix, svd(caution_matrix),
+                              _selection_missing_range(caution_matrix))
         assert rec.gamma2_flag == "infinite"
         assert np.isinf(rec.gamma2)
+
+    def test_as_dict_equals_asdict(self, caution_matrix):
+        a = np.eye(4)
+        records = [
+            compute_metrics(a, svd(a), css_b1(a, 2)),
+            compute_metrics(caution_matrix, svd(caution_matrix),
+                            css_b1(caution_matrix, 2)),
+            compute_metrics(caution_matrix, svd(caution_matrix),
+                            _selection_missing_range(caution_matrix)),
+        ]
+        assert records[1].tau is None and records[1].tau_flag == "undefined"
+        assert records[2].gamma2 == math.inf
+        for rec in records:
+            assert list(rec.as_dict().items()) == list(dataclasses.asdict(rec).items())
 
     def test_svir_pipeline_metrics(self):
         chi = svir_sensitivity(NOMINAL_SVIR)
