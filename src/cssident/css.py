@@ -4,15 +4,15 @@ Each algorithm returns a :class:`CssResult` whose permutation splits the
 input columns into ``identifiable`` (first k) and ``unidentifiable``
 (remaining p - k).  The selection loops carry only the triangular factor
 R and ``perm``.  Every step is one column exchange (:func:`_exchange`):
-columns a <= b of R are swapped and the block ``r[a:end, a:end]`` is
-re-factored by an unpivoted QR with a nonnegative diagonal.  b1 and
-srrqr restore only the disturbed block (end = b + 1), b4 and b3 the
-whole trailing block (end = p).  b1, b4 and b3 take that block's R
-alone, because no later step reads the columns past end; srrqr applies
-the block's Q^T to ``r[a:end, end:]``, because its rho reads R12 and
-R22.  Magnitude ties break to the lowest index.  Every step runs on
-R scaled by the exact power of two that brings max|r| into [0.5, 1), so
-each decision, ties included, is the same whatever the input's units.
+columns a <= b of R are swapped and the disturbed rows are re-factored
+by an unpivoted QR with a nonnegative diagonal, of which only R is taken:
+no exchange forms a Q.  b1 re-factors ``r[a:b+1, a:b+1]``, because its
+later steps read only the leading block; b4 and b3 the trailing block
+``r[a:, a:]``; srrqr, whose rho reads R12 and R22, the wide block
+``r[a:b+1, a:]``.  Magnitude ties break to the lowest index.  Every step
+runs on R scaled by the exact power of two that brings max|r| into
+[0.5, 1), so each decision, ties included, is the same whatever the
+input's units.
 A result's factors are the QR of ``chi[:, perm]``, computed once from the
 selected order, so they do not depend on the route that reached it.
 
@@ -46,7 +46,6 @@ from .linalg import (
     _EPS,
     QrFactors,
     SvdFactors,
-    _nonneg_diag,
     _pow2_exponent,
     _qr_r,
     _require_tall,
@@ -216,20 +215,16 @@ def _working(fac: QrFactors):
     return np.ldexp(fac.r, -e), fac.perm.copy(), e
 
 
-def _exchange(r, perm, a: int, b: int, end: int) -> None:
-    # swap columns a <= b < end and re-QR r[a:end, a:end] with a nonnegative
-    # diagonal; rows above a and below end stay triangular, so r stays an R
-    # factor of the leading r.shape[1] columns of a[:, perm], scaled.
-    # Columns past end take the block's Q^T; when r has none (end =
-    # r.shape[1]) the block's R is taken alone and no Q is formed.  A
-    # caller whose later steps read no column past end passes r[:end, :end]
+def _exchange(r, perm, a: int, b: int) -> None:
+    # swap columns a <= b and re-QR r[a:, a:] with a nonnegative diagonal,
+    # taking R alone.  r is the view of rows 0..b or more of the working R
+    # that the caller's later steps read; below row b columns a and b are
+    # zero, so the rows left out stay triangular.  On a wide r[a:, a:]
+    # (srrqr) the QR's reflectors reach the columns past the square block,
+    # so they take its Q^T without a Q being formed
     r[:, [a, b]] = r[:, [b, a]]
     perm[[a, b]] = perm[[b, a]]
-    if end == r.shape[1]:
-        r[a:end, a:end] = _qr_r(r[a:end, a:end])
-        return
-    qt, r[a:end, a:end] = _nonneg_diag(*np.linalg.qr(r[a:end, a:end]))
-    r[a:end, end:] = qt.T @ r[a:end, end:]
+    r[a:, a:] = _qr_r(r[a:, a:])
 
 
 # b1's inverse iteration (see css_b1): vectors per block and sweeps before
@@ -374,7 +369,7 @@ def css_b1(chi, k: int) -> CssResult:
             ritz = vt[: -_B1_BLOCK - 1: -1].T
         # later steps read only r[:ell - 1, :ell - 1], so the columns past
         # ell are left as they are
-        _exchange(r[:ell, :ell], perm, m, ell - 1, ell)
+        _exchange(r[:ell, :ell], perm, m, ell - 1)
         if ell - 1 > _SMALL:
             # the exchange moves column ell-1 to m and drops the old column m
             start = ritz[:, 1:].copy()
@@ -438,7 +433,7 @@ def _greedy_front(arr, k: int, subspace: bool):
             fallbacks += 1
             _, _, vt = np.linalg.svd(r[i:, i:])
             m = int(np.argmax(np.linalg.norm(vt[:d], axis=0)))
-        _exchange(r, perm, i, i + m, p)
+        _exchange(r, perm, i, i + m)
     return perm, fallbacks
 
 
@@ -561,10 +556,10 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None) -> CssResult:
 
     Starting from a column-pivoted QR, columns (i, k+j) with the largest
     determinant growth factor rho_ij are swapped while max rho exceeds
-    f*(1 + SRRQR_TIE_SLACK); each swap re-QRs only the disturbed block
-    ``r[i:k+j+1, i:k+j+1]``.  Ties go to the lexicographically smallest
-    (i, j).  ``extras`` records convergence, the final max rho and the
-    log-determinant history of the leading block.
+    f*(1 + SRRQR_TIE_SLACK); each swap re-QRs only the disturbed rows
+    i..k+j from column i on, taking R alone.  Ties go to the
+    lexicographically smallest (i, j).  ``extras`` records convergence, the
+    final max rho and the log-determinant history of the leading block.
     """
     cfg = cfg or SrrqrConfig()
     arr = _check_css_input(chi, k)
@@ -590,7 +585,8 @@ def css_srrqr(chi, k: int, cfg: SrrqrConfig | None = None) -> CssResult:
             break
         i, j = np.unravel_index(int(np.argmax(rho)), rho.shape)
         b = k + int(j)
-        _exchange(r, perm, int(i), b, b + 1)
+        # rho reads R12 and R22: rows i..b are re-factored from column i on
+        _exchange(r[:b + 1], perm, int(i), b)
         swaps += 1
         logdet_history.append(logdet())
     extras = {

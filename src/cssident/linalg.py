@@ -126,8 +126,9 @@ def _nonneg_diag(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _qr_r(a: np.ndarray) -> np.ndarray:
-    # the R of qr_unpivoted(a), bit for bit, without forming Q: both modes of
-    # np.linalg.qr run the same dgeqrf on the same copy of a
+    # the reduced QR's R of a, tall or wide, bit for bit (both modes of
+    # np.linalg.qr run the same dgeqrf on the same copy of a), with its rows
+    # flipped to a nonnegative diagonal and without forming Q
     return _nonneg_rows(np.linalg.qr(a, mode="r"))[1]
 
 

@@ -26,7 +26,7 @@ from cssident import (
 )
 from cssident.bench import realize
 from cssident.css import _exchange, _gram_certified_pick, _working
-from cssident.linalg import _nonneg_diag
+from cssident.linalg import _EPS, _nonneg_diag
 from cssident.metrics import compute_metrics, theorem_bound_checks
 
 
@@ -314,27 +314,38 @@ EXCHANGE_CASES = {
 
 
 class TestExchange:
-    """Where no later step reads the columns past the re-factored block,
-    the exchange takes R alone; the R it keeps is the full exchange's."""
+    """The exchange takes R alone.  On the square blocks of b1, b4 and b3
+    that R is the full exchange's, bit for bit; on srrqr's wide rows the
+    blocked QR rounds differently from Q^T applied by hand, so there it
+    agrees with the full exchange to rounding and keeps the rows past b."""
 
     @pytest.mark.parametrize("case", EXCHANGE_CASES)
     def test_r_only_exchange_keeps_the_full_exchanges_bits(self, case):
         start, start_perm, _ = _working(qr_unpivoted(EXCHANGE_CASES[case]()))
         p = start.shape[1]
         for a, b in ((0, 0), (0, 57), (13, 99), (40, 41), (98, 99)):
-            # b4's and b3's form (end = p), then b1's (the leading block)
-            for end in (p, b + 1):
+            # b1's form (the leading block), then b4's and b3's (all of r)
+            for end in (b + 1, p):
                 r, perm = start.copy(), start_perm.copy()
-                _exchange(r[:end, :end], perm, a, b, end)
+                _exchange(r[:end, :end], perm, a, b)
                 ref, ref_perm = start.copy(), start_perm.copy()
                 _full_exchange(ref, ref_perm, a, b, end)
                 assert np.array_equal(r[:end, :end], ref[:end, :end]), (a, b, end)
                 assert np.array_equal(perm, ref_perm), (a, b, end)
+            # srrqr's form (rows 0..b, every column)
+            r, perm = start.copy(), start_perm.copy()
+            _exchange(r[:b + 1], perm, a, b)
+            assert np.array_equal(perm, ref_perm), (a, b)
+            assert np.array_equal(r, np.triu(r)) and np.all(np.diag(r) >= 0), (a, b)
+            assert np.array_equal(r[b + 1:], start[b + 1:]), (a, b)
+            ref = start.copy()
+            _full_exchange(ref, start_perm.copy(), a, b, b + 1)
+            assert_allclose(r, ref, rtol=0, atol=4 * p * _EPS * np.max(np.abs(ref)))
 
-    def test_selections_form_q_only_where_a_later_step_reads_it(self, monkeypatch):
-        # every exchange re-factors a square block; the start and result QRs
-        # are 200 x 100 and b1's iteration QRs l x 4.  srrqr's rho reads R12
-        # and R22, so its exchanges still apply Q^T past the block
+    def test_no_exchange_forms_a_q(self, monkeypatch):
+        # apart from the start and result QRs (200 x 100) and b1's l x 4
+        # iteration QRs, every QR is an exchange's and takes R alone;
+        # srrqr's are of its wide rows
         calls = []
         numpy_qr = np.linalg.qr
 
@@ -347,11 +358,15 @@ class TestExchange:
         for alg, fn in ALL_ALGS.items():
             calls.clear()
             swaps = fn(chi, 20).swap_count
-            square = [mode for mode, (m, n) in calls if m == n]
+            with_q = [shape for mode, shape in calls if mode != "r"]
+            exchanges = [shape for mode, shape in calls if mode == "r"]
+            assert all(shape == chi.shape or (alg == "b1" and shape[1] == 4)
+                       for shape in with_q), alg
             if alg == "srrqr":
-                assert swaps >= 1 and square.count("reduced") == swaps
+                assert swaps == 3 and len(exchanges) == swaps
+                assert all(m < n for m, n in exchanges)
             else:
-                assert square and set(square) == {"r"}, alg
+                assert exchanges, alg
 
 
 class TestFactorsOfTheSelectedOrder:

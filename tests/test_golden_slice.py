@@ -15,8 +15,9 @@ from cssident.matio import write_matrix
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # pool name -> seeds analyzed here; seeds run through ``cssident bench``
+# (on ships200 seeds 0..3, srrqr swaps 3, 0, 5 and 4 times)
 SLICE = {"ships400": (0,), "kahan100": (0, 1, 2, 3)}
-BENCH_SLICE = {"kahan100": range(5), "gauss31x4": range(4)}
+BENCH_SLICE = {"kahan100": range(5), "gauss31x4": range(4), "ships200": range(4)}
 # svir100 draws run through ``cssident svir``, then analyzed by gap policy
 SVIR_SLICE = (0,)
 

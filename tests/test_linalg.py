@@ -262,18 +262,27 @@ def _triangular_with_swapped_columns():
     return r
 
 
+def _wide_exchange_block():
+    # srrqr's exchange: rows a..b of an R with columns a and b swapped
+    a, b = 13, 150
+    r = qr_unpivoted(_ships(400, 200)).r.copy()
+    r[:, [a, b]] = r[:, [b, a]]
+    return r[a:b + 1, a:]
+
+
 _R_ONLY_INPUTS = {
     "gaussian-square": lambda: np.random.default_rng(0).standard_normal((120, 120)),
     "triangular-swapped-columns": _triangular_with_swapped_columns,
     "ships-400x200": lambda: _ships(400, 200),
     "trailing-view": lambda: qr_unpivoted(_ships(200, 100)).r[37:, 37:],
+    "wide-exchange-block": _wide_exchange_block,
 }
 
 
 @pytest.mark.parametrize("name", _R_ONLY_INPUTS)
 def test_r_only_qr_is_the_reduced_qrs_r(name):
-    """css's exchanges take R alone where nothing reads Q; they rely on both
-    modes of np.linalg.qr running the same dgeqrf on the same copy."""
+    """css's exchanges take R alone, of square and of wide blocks; they rely
+    on both modes of np.linalg.qr running the same dgeqrf on the same copy."""
     a = _R_ONLY_INPUTS[name]()
     assert np.array_equal(np.linalg.qr(a, mode="r"), np.linalg.qr(a)[1])
 
