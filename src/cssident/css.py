@@ -14,7 +14,9 @@ runs on R scaled by the exact power of two that brings max|r| into
 [0.5, 1), so each decision, ties included, is the same whatever the
 input's units.
 A result's factors are the QR of ``chi[:, perm]``, computed once from the
-selected order, so they do not depend on the route that reached it.
+selected order, so they do not depend on the route that reached it.  No
+selection forms the Q of chi: the starts read R alone, and a result's q
+is formed only if a caller reads it.
 
 b1 picks each column from the smallest right singular vector of the
 leading block R11.  A block inverse iteration with triangular solves
@@ -25,9 +27,10 @@ make: its gap uses a lower bound on the second eigenvalue where an upper
 bound is needed (see :func:`css_b1`).
 
 b4 and b3 pick each column from the dominant right singular vectors of the
-trailing block.  They take the pick from eigenpairs of that block's Gram
-matrix and keep it where a Davis-Kahan certificate shows that the SVD of
-the block picks the same column; otherwise the SVD decides.  Their
+trailing block.  They take the pick from that block's Gram matrix, from
+one eigenvector where they read one and from an eigendecomposition where
+they read several, and keep it where a Davis-Kahan certificate shows that
+the SVD of the block picks the same column; otherwise the SVD decides.  Their
 ``perm`` is then the SVD's at every step, by the certificate's error bound
 (see :func:`css_b4`).  All three back off to the SVD alone after repeated
 uncertified steps.
@@ -166,7 +169,9 @@ class CssResult:
 
     ``factors`` is the QR of ``chi[:, perm]`` (nonnegative diagonal),
     computed once from the selected order: two algorithms that select the
-    same order return the same factors, bit for bit.
+    same order return the same factors, bit for bit.  Its r is computed
+    with the result and its q on the first read, as in
+    :func:`~cssident.linalg.qr_unpivoted`.
     """
 
     algorithm: str
@@ -198,7 +203,7 @@ def _result(algorithm, arr, k, perm, swap_count=0, extras=None):
     return CssResult(
         algorithm=algorithm,
         k=k,
-        factors=replace(qr_unpivoted(arr[:, perm]), perm=perm),
+        factors=qr_unpivoted(arr[:, perm])._relabel(perm),
         identifiable=tuple(int(j) for j in perm[:k]),
         unidentifiable=tuple(int(j) for j in perm[k:]),
         swap_count=swap_count,
@@ -209,8 +214,8 @@ def _result(algorithm, arr, k, perm, swap_count=0, extras=None):
 def _working(fac: QrFactors):
     # writable copies of a start's r and perm for the exchange steps, with r
     # scaled by the exact power of two 2^-e that brings max|r| into [0.5, 1):
-    # every step then decides on the same r whatever the input's units.  The
-    # start's q is not needed: no step reads it
+    # every step then decides on the same r whatever the input's units.  No
+    # step reads the start's q, so it is never formed
     e = _pow2_exponent(fac.r)
     return np.ldexp(fac.r, -e), fac.perm.copy(), e
 
@@ -379,31 +384,69 @@ def css_b1(chi, k: int) -> CssResult:
     return _result("b1", arr, k, perm, extras=extras)
 
 
+def _top_eigenvector(g, w1: float, w2: float, delta: float):
+    # the dominant eigenvector x of the symmetric G with computed eigenvalues
+    # w1 > w2, from one solve with the shift w1 + delta started from the column
+    # of G with the largest diagonal entry, and a bound on each |x_j|'s error.
+    # With the Rayleigh quotient rho and the residual r = G x - rho x,
+    # sin(x, v1) <= (||r|| + delta) / (rho - w2 - 2 delta) (Davis-Kahan;
+    # Parlett, The Symmetric Eigenvalue Problem, 11.7), where delta also covers
+    # the rounding of r; each entry is then off by at most sqrt(2) times that.
+    # (None, None) where the solve fails or the bound has no gap
+    x0 = g[:, int(np.argmax(np.diag(g)))]
+    try:
+        x = np.linalg.solve(g - (w1 + delta) * np.eye(g.shape[0]), x0)
+    except np.linalg.LinAlgError:
+        return None, None
+    norm = float(np.linalg.norm(x))
+    if not 0.0 < norm < np.inf:
+        return None, None
+    x /= norm
+    gx = g @ x
+    rho = float(x @ gx)
+    gap = rho - w2 - 2.0 * delta
+    if not gap > 0:
+        return None, None
+    res = float(np.linalg.norm(gx - rho * x))
+    return x, np.sqrt(2.0) * (res + delta) / gap
+
+
 def _gram_certified_pick(block, d: int):
     # the column with the largest norm in the d dominant right singular
-    # vectors of block, taken from eigenpairs of G = B^T B; None when the
-    # certificate cannot vouch that the SVD of block picks the same column.
+    # vectors of block, taken from G = B^T B; None when the certificate
+    # cannot vouch that the SVD of block picks the same column.
     # B is block scaled by its own power of two, so that G is not subnormal
-    # where block is far below max|r|
-    # numpy's eigh, not scipy's: scipy ships its own OpenBLAS, and
+    # where block is far below max|r|.  For d = 1 the eigenvalues and one
+    # shifted solve give the vector; for d > 1, all eigenpairs.
+    # numpy's eigensolvers, not scipy's: scipy ships its own OpenBLAS, and
     # alternating its threads with numpy's in the exchange oversubscribes
     # the cores unless BLAS is pinned to one thread
     ell = block.shape[1]
     b = np.ldexp(block, -_pow2_exponent(block))
     g = b.T @ b
     fro2 = float(np.trace(g))  # ||B||_F^2
-    w, v = np.linalg.eigh(g)
-    top = v[:, -d:]
-    scores = np.sqrt(np.einsum("ij,ij->i", top, top))
-    # delta bounds the rounding of G plus eigh's backward error; by Weyl and
-    # Davis-Kahan the computed top-d subspace, and so each score, is then off
-    # by at most delta / sep
+    if d == 1:
+        w = np.linalg.eigvalsh(g)
+    else:
+        w, v = np.linalg.eigh(g)
+    # delta bounds the rounding of G plus the eigensolver's backward error,
+    # so by Weyl each computed eigenvalue is off by at most delta
     delta = 2.0 * ell * _EPS * fro2
     w_d, w_next = float(w[-d]), max(float(w[-d - 1]), 0.0)
     sep = w_d - w_next - 2.0 * delta
     if not sep > 0:
         return None
-    error = delta / sep
+    if d == 1:
+        top, error = _top_eigenvector(g, w_d, w_next, delta)
+        if top is None:
+            return None
+        scores = np.abs(top)
+    else:
+        top = v[:, -d:]
+        scores = np.sqrt(np.einsum("ij,ij->i", top, top))
+        # by Davis-Kahan the computed top-d subspace, and so each score, is
+        # off by at most delta / sep
+        error = delta / sep
     # the SVD's own error eps ||B|| / (sigma_d - sigma_{d+1}), with ||B|| <=
     # ||B||_F and sigma_d - sigma_{d+1} >= sep / (sigma_d + sigma_{d+1}),
     # plus the rounding of the d-term norms
@@ -446,15 +489,18 @@ def css_b4(chi, k: int) -> CssResult:
     |r_ll| >= sigma_l / sqrt(p - l + 1).
 
     Only that entry's position is needed.  For blocks of more than 32
-    columns it is taken from the top eigenpair of G = B^T B, where B is the
-    block scaled by its own power of two, computed by a direct symmetric
-    eigensolver.  delta = 2 l eps ||B||_F^2
-    bounds the rounding of G plus the eigensolver's backward error, so by
-    Davis-Kahan each entry is off by at most delta / (w_1 - w_2 - 2 delta)
-    for the computed eigenvalues w.  The pick is kept when the gap between
-    the two largest entries exceeds 16 times the sum of that bound and the
-    SVD's own error eps ||B|| / (sigma_1 - sigma_2) plus rounding; exact
-    ties never pass.  Otherwise the SVD of the block decides, as it does
+    columns it is taken from the top eigenvector of G = B^T B, where B is
+    the block scaled by its own power of two.  A direct symmetric solver
+    gives the eigenvalues w of G alone, and one solve with G - (w_1 +
+    delta) I, started from the column of G with the largest diagonal
+    entry, gives the vector x.  delta = 2 l eps ||B||_F^2 bounds the
+    rounding of G plus the eigensolver's backward error.  With the Rayleigh
+    quotient rho and the residual r = G x - rho x, Davis-Kahan bounds
+    sin(x, v_1) by (||r|| + delta) / (rho - w_2 - 2 delta), so each entry
+    is off by at most sqrt(2) times that.  The pick is kept when the gap
+    between the two largest entries exceeds 16 times the sum of that bound
+    and the SVD's own error eps ||B|| / (sigma_1 - sigma_2) plus rounding;
+    exact ties never pass.  Otherwise the SVD of the block decides, as it does
     for blocks of 32 or fewer columns and, as in :func:`css_b1`, for the
     next 2^(f-2) - 1 steps after f >= 2 uncertified steps in a row.  On a
     certified step both routes pick the same column, so ``perm`` is the
@@ -476,9 +522,11 @@ def css_b3(chi, k: int, chi_svd: SvdFactors | None = None) -> CssResult:
     For l = 1..k the d = k-l+1 dominant right singular vectors of the
     trailing block form W (transposed); the column of W with the largest
     2-norm is swapped to the front of the block.  The pick is taken and
-    certified as in :func:`css_b4`, from all eigenpairs of the Gram matrix,
-    with the gap w_d - w_{d+1} and the SVD's error eps ||B|| / (sigma_d -
-    sigma_{d+1}) in place of those of the first pair.  The SVD decided 0 of
+    certified as in :func:`css_b4`, but for d > 1 from all eigenpairs of
+    the Gram matrix, whose top-d subspace Davis-Kahan puts within delta /
+    (w_d - w_{d+1} - 2 delta), with the SVD's error eps ||B|| / (sigma_d -
+    sigma_{d+1}) in place of that of the first pair; the last step (d = 1)
+    is b4's.  The SVD decided 0 of
     800 steps on ships 400x200 (k = 40), 0 of 640 on ships 200x100 (k = 20)
     and 10613 of 11880 on Kahan n = 100 (k = 99), where the column norms
     tie to rounding level over long runs of early steps, so the backoff

@@ -3,13 +3,15 @@
 Every :class:`QrFactors` is the unpivoted QR of its column order: a
 pivoted search decides only ``perm``, and the factors are the QR of
 ``a[:, perm]``.  They follow one nonnegative-diagonal convention, applied
-in :func:`qr_unpivoted`: after the backend Householder QR, each column of
-Q and row of R is sign-flipped so that diag(R) >= 0.  Permutations are
+by ``_nonneg_rows``: after the backend Householder QR, each column of Q
+and row of R is sign-flipped so that diag(R) >= 0.  Permutations are
 stored as index arrays ``perm`` with the meaning ``a[:, perm] == q @ r``.
+The factorizations here compute R at once and Q, or an SVD's U, only when
+it is first read: the analysis reads neither.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,11 +38,6 @@ def _require_tall(a: np.ndarray, op: str) -> None:
         raise InputDomainError(f"{op} requires rows >= cols, got {n}x{p}")
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.flags.writeable = False
-
-
 def identity_perm(p: int) -> np.ndarray:
     return np.arange(p)
 
@@ -53,25 +50,56 @@ def check_perm(perm, p: int) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
-class QrFactors:
+class _Record:
+    """Read-only record of read-only arrays.
+
+    A field formed on demand is stored as ``None`` under its private name
+    until its first read forms it, and is kept from then on.
+    """
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+
+class QrFactors(_Record):
     """QR factors of the column order ``perm``: ``a[:, perm] == q @ r``.
 
     q is n x p with orthonormal columns, r is p x p upper triangular with
     nonnegative diagonal, perm is the column permutation image.  q and r
     are the unpivoted QR of ``a[:, perm]``, whichever route chose perm.
+
+    Pass q, or ``cols``: a private copy of the factored columns that no one
+    writes to.  Then q is formed on its first read, as the reduced QR of
+    ``cols`` with the signs of r; that QR repeats the R-only QR's dgeqrf on
+    the same bits, so q is the one an eager QR returns.  The routes of this
+    module pass ``cols``: the analysis reads r alone.
     """
 
-    perm: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
+    def __init__(self, perm, q=None, r=None, *, cols=None):
+        if r is None or (q is None) == (cols is None):
+            raise TypeError("QrFactors takes r and exactly one of q and cols")
+        self._set(perm=perm, r=r, _q=q, _cols=cols)
 
-    def __post_init__(self):
-        _freeze(self.perm, self.q, self.r)
+    @property
+    def q(self) -> np.ndarray:
+        if self._q is None:
+            self._set(_q=_nonneg_diag(*np.linalg.qr(self._cols))[0], _cols=None)
+        return self._q
 
     @property
     def p(self) -> int:
         return self.r.shape[0]
+
+    def _relabel(self, perm) -> "QrFactors":
+        # the same factors as the QR of the column order perm, q still formed
+        # on demand
+        return QrFactors(perm, self._q, self.r, cols=self._cols)
 
     def reconstruction_error(self, a: np.ndarray) -> float:
         """Relative Frobenius residual ||a*P - q*r||_F / ||a||_F.
@@ -82,6 +110,21 @@ class QrFactors:
         e = _pow2_exponent(a)
         num = float(np.linalg.norm(np.ldexp(a[:, self.perm] - self.q @ self.r, -e)))
         den = float(np.linalg.norm(np.ldexp(a, -e)))
+        return num / den if den > 0 else num
+
+    def column_norm_error(self, a: np.ndarray) -> float:
+        """Relative misfit ||c(a*P) - c(r)||_2 / ||a||_F of the column norms
+        c, in O(np) and without q.
+
+        Column norms survive the orthonormal q, so the misfit is at most
+        :meth:`reconstruction_error` to rounding.  Both sets of norms are
+        taken of copies scaled by the same exact power of two.
+        """
+        e = _pow2_exponent(a)
+        want = np.linalg.norm(np.ldexp(a, -e), axis=0)[self.perm]
+        got = np.linalg.norm(np.ldexp(self.r, -e), axis=0)
+        num = float(np.linalg.norm(got - want))
+        den = float(np.linalg.norm(want))
         return num / den if den > 0 else num
 
     def validate(self, a: np.ndarray) -> None:
@@ -96,16 +139,25 @@ class QrFactors:
             raise NumericalFailureError("factors do not reconstruct the input")
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD ``a == u @ diag(sigma) @ v.T`` with sigma descending."""
+class SvdFactors(_Record):
+    """Thin SVD ``a == u @ diag(sigma) @ v.T`` with sigma descending.
 
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
+    Pass u, or ``qr`` and ``u_r``: the QR of a and the left singular
+    vectors of its r.  Then u = ``qr.q @ u_r`` is formed on its first read,
+    the bits an eager product gives; :func:`svd` passes these, as no step
+    of the analysis reads u.
+    """
 
-    def __post_init__(self):
-        _freeze(self.u, self.sigma, self.v)
+    def __init__(self, u=None, sigma=None, v=None, *, qr=None, u_r=None):
+        if sigma is None or v is None or (u is None) == (qr is None or u_r is None):
+            raise TypeError("SvdFactors takes sigma, v and either u or qr and u_r")
+        self._set(sigma=sigma, v=v, _u=u, _qr=qr, _u_r=u_r)
+
+    @property
+    def u(self) -> np.ndarray:
+        if self._u is None:
+            self._set(_u=self._qr.q @ self._u_r, _qr=None, _u_r=None)
+        return self._u
 
     def reconstruct(self) -> np.ndarray:
         return self.u @ (self.sigma[:, None] * self.v.T)
@@ -143,13 +195,13 @@ def qr_unpivoted(a) -> QrFactors:
     """Thin Householder QR with identity permutation.
 
     Requires rows >= cols.  The triangular factor has a nonnegative
-    diagonal, which the strong-RRQR determinant identity relies on.
+    diagonal, which the strong-RRQR determinant identity relies on.  r is
+    computed here and q on its first read, from a copy of ``a`` taken here.
     """
     arr = check_matrix(a)
     _require_tall(arr, "qr_unpivoted")
-    q, r = np.linalg.qr(arr)
-    q, r = _nonneg_diag(q, r)
-    return QrFactors(perm=identity_perm(arr.shape[1]), q=q, r=r)
+    cols = arr.copy()
+    return QrFactors(identity_perm(arr.shape[1]), r=_qr_r(cols), cols=cols)
 
 
 # below this column norm the squares of a column's entries may underflow
@@ -238,7 +290,8 @@ def qr_col_pivoted(a) -> QrFactors:
     column norms cannot over- or underflow and the pivots do not depend on
     the input's units.  The factors are ``qr_unpivoted`` of a fresh copy of
     the scaled columns in ``perm`` order, with r scaled back, so |diag(r)|
-    is nonincreasing up to rounding.
+    is nonincreasing up to rounding; as there, q is formed on its first
+    read.
 
     LAPACK's blocked pivoted QR (``dgeqp3``) proposes the order, and its
     pivots are kept for as long as each one beats the runner-up by more
@@ -269,8 +322,8 @@ def qr_col_pivoted(a) -> QrFactors:
             cols = np.argsort(perm)[_replay_swaps(perm, done)]
             cols[done:] = cols[done:][_householder_pivoted(r[done:, cols[done:]])]
             perm = perm[cols]
-    fac = qr_unpivoted(np.ldexp(arr[:, perm], -e))
-    return QrFactors(perm=perm, q=fac.q, r=np.ldexp(fac.r, e))
+    cols = np.ldexp(arr[:, perm], -e)
+    return QrFactors(perm, r=np.ldexp(_qr_r(cols), e), cols=cols)
 
 
 def svd(a) -> SvdFactors:
@@ -278,7 +331,9 @@ def svd(a) -> SvdFactors:
 
     The input is first reduced by an unpivoted QR, then the p x p
     triangular factor is decomposed; this keeps the inner SVD at the
-    dimension of the Gram matrix without ever forming it.
+    dimension of the Gram matrix without ever forming it.  sigma and v are
+    computed here; u = q u_R, and with it the QR's q, on the first read of
+    u.
     """
     arr = check_matrix(a)
     _require_tall(arr, "svd")
@@ -287,7 +342,7 @@ def svd(a) -> SvdFactors:
         ur, sigma, vt = np.linalg.svd(fac.r)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise NumericalFailureError(f"inner SVD did not converge: {exc}") from exc
-    return SvdFactors(u=fac.q @ ur, sigma=sigma, v=vt.T)
+    return SvdFactors(sigma=sigma, v=vt.T, qr=fac, u_r=ur)
 
 
 def singular_values(a) -> np.ndarray:

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 
 from .config import RECON_TOL, RESIDUAL_DEFICIENCY_FACTOR, SRRQR_TIE_SLACK, rank_cutoff
 from .css import CssResult, v11_inverse_norm
-from .errors import InputDomainError
+from .errors import InputDomainError, NumericalFailureError
 from .linalg import SvdFactors, _pow2_exponent, check_matrix, residual_norm, svd
 
 
@@ -52,15 +52,20 @@ class MetricsRecord:
 def compute_metrics(chi, chi_svd: SvdFactors, result: CssResult) -> MetricsRecord:
     """Evaluate gamma1, gamma2 and tau for ``result`` against ``chi``.
 
-    ``chi_svd`` is ``svd(chi)``.  The factors must actually factor ``chi``
-    (checked through the reconstruction residual).  chi1/chi2 quantities
-    are recomputed from the selected columns, independently of the stored
-    factors.
+    ``chi_svd`` is ``svd(chi)``.  The factors must actually factor ``chi``:
+    the column norms of their r must match those of ``chi[:, perm]``, in
+    O(np) and without their q (``QrFactors.column_norm_error``, a
+    misfit no larger than the reconstruction residual's).  chi1/chi2
+    quantities are recomputed from the selected columns, independently of
+    the stored factors.  Factors with non-finite entries raise
+    NumericalFailureError.
     """
     arr = check_matrix(chi)
     n, p = arr.shape
     k = result.k
-    if result.factors.reconstruction_error(arr) > 100 * RECON_TOL:
+    if not np.all(np.isfinite(result.factors.r)):
+        raise NumericalFailureError("the result's factors overflowed")
+    if result.factors.column_norm_error(arr) > 100 * RECON_TOL:
         raise InputDomainError("result was not produced from this matrix")
     sigma = chi_svd.sigma
     sigma1 = float(sigma[0])

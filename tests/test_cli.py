@@ -281,6 +281,75 @@ class TestSvdOfChiOnce:
         assert svd_input_shapes.count((12, 5)) == 3
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every ``np.linalg.qr`` call as (mode, shape), every input shape of
+    ``cssident.linalg.svd`` with its result, and every SvdFactors whose u
+    is read."""
+    qr_calls, svds, u_reads = [], [], []
+    numpy_qr = np.linalg.qr
+
+    def recording_qr(a, mode="reduced"):
+        qr_calls.append((mode, np.shape(a)))
+        return numpy_qr(a, mode=mode)
+
+    original_svd = linalg.svd
+
+    def recording_svd(a):
+        fac = original_svd(a)
+        svds.append((np.shape(a), fac))
+        return fac
+
+    u = linalg.SvdFactors.u
+
+    def recording_u(fac):
+        u_reads.append(fac)
+        return u.fget(fac)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    # analyze and bench call it as linalg.svd
+    monkeypatch.setattr(linalg, "svd", recording_svd)
+    monkeypatch.setattr(linalg.SvdFactors, "u", property(recording_u))
+    return qr_calls, svds, u_reads
+
+
+class TestNoQOfChi:
+    """The analysis reads R alone: no QR of chi forms its Q, and the U of
+    svd(chi) is never formed."""
+
+    @staticmethod
+    def _check(factorizations, shape):
+        qr_calls, svds, u_reads = factorizations
+        assert ("reduced", shape) not in qr_calls
+        assert ("r", shape) in qr_calls
+        chi_svds = [fac for s, fac in svds if s == shape]
+        assert chi_svds
+        assert not any(fac is read for fac in chi_svds for read in u_reads)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_analyze(self, tmp_path, factorizations, algorithm):
+        chi = realize({"family": "ships", "n": 200, "p": 100, "spectrum": {"k": 20}}, 0)
+        path = tmp_path / "chi.csv"
+        write_csv(chi, path)
+        # the ships generator's Haar draw is a reduced QR of this shape
+        factorizations[0].clear()
+        assert run_cli("analyze", "--input", str(path), "--algorithm", algorithm,
+                       "--k-policy", "fixed", "--k", "20",
+                       "--output", str(tmp_path / "o.json")) == 0
+        self._check(factorizations, chi.shape)
+
+    def test_bench(self, tmp_path, factorizations):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "generator": {"family": "kahan", "n": 100, "zeta_range": [0.9, 0.99999]},
+            "algorithms": list(ALGORITHMS),
+            "k_policy": {"mode": "fixed", "k": 99},
+            "realizations": 1,
+        }))
+        assert run_cli("bench", "--spec", str(spec), "--out-dir", str(tmp_path)) == 0
+        self._check(factorizations, (100, 100))
+
+
 class TestScaledInput:
     """Scaling chi by 2^j changes neither the split nor the exit code."""
 

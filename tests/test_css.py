@@ -288,6 +288,29 @@ class TestGreedyGramRoute:
         assert pick is not None
         assert _gram_certified_pick(np.ldexp(block, -600), d) == pick
 
+    def test_one_vector_pick_refuses_an_exact_tie(self):
+        block = qr_unpivoted(_duplicate_column_matrix()).r
+        assert _gram_certified_pick(block, 1) is None
+
+    def test_one_vector_pick_refuses_equal_top_singular_values(self):
+        rng = np.random.default_rng(6)
+        u = np.linalg.qr(rng.standard_normal((80, 40)))[0]
+        v = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        sigma = np.geomspace(1.0, 1e-3, 40)
+        sigma[1] = sigma[0]
+        block = qr_unpivoted((u * sigma) @ v.T).r
+        assert _gram_certified_pick(block, 1) is None
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_one_vector_pick_is_the_svds_on_ships(self, seed):
+        # the trailing blocks b4 meets, from the first step to its last (k = 20)
+        r, _, _ = _working(qr_unpivoted(_ships(200, 100, 20, seed)))
+        for i in range(20):
+            _, _, vt = np.linalg.svd(r[i:, i:])
+            m = int(np.argmax(np.abs(vt[0])))
+            assert _gram_certified_pick(r[i:, i:], 1) == m, i
+            _exchange(r, np.arange(100), i, i + m)
+
     @pytest.mark.parametrize("alg", GREEDY_ALGS)
     def test_svd_calls_on_ships(self, alg, monkeypatch):
         # counts do not jitter: the SVD of every step cost 20 (b4) and 21
@@ -343,8 +366,8 @@ class TestExchange:
             assert_allclose(r, ref, rtol=0, atol=4 * p * _EPS * np.max(np.abs(ref)))
 
     def test_no_exchange_forms_a_q(self, monkeypatch):
-        # apart from the start and result QRs (200 x 100) and b1's l x 4
-        # iteration QRs, every QR is an exchange's and takes R alone;
+        # apart from b1's l x 4 iteration QRs every QR takes R alone: the
+        # start and result QRs (200 x 100) and the exchanges, of which
         # srrqr's are of its wide rows
         calls = []
         numpy_qr = np.linalg.qr
@@ -359,9 +382,11 @@ class TestExchange:
             calls.clear()
             swaps = fn(chi, 20).swap_count
             with_q = [shape for mode, shape in calls if mode != "r"]
-            exchanges = [shape for mode, shape in calls if mode == "r"]
-            assert all(shape == chi.shape or (alg == "b1" and shape[1] == 4)
-                       for shape in with_q), alg
+            exchanges = [shape for mode, shape in calls
+                         if mode == "r" and shape != chi.shape]
+            assert all(alg == "b1" and shape[1] == 4 for shape in with_q), alg
+            # b3 called without svd(chi) takes it itself
+            assert calls.count(("r", chi.shape)) == 2 + (alg == "b3"), alg
             if alg == "srrqr":
                 assert swaps == 3 and len(exchanges) == swaps
                 assert all(m < n for m, n in exchanges)

@@ -18,7 +18,7 @@ from cssident import (
     svir_sensitivity,
 )
 from cssident.generators import realize
-from cssident.linalg import _EPS, _pow2_exponent, orthonormal_range
+from cssident.linalg import _EPS, _nonneg_diag, _pow2_exponent, orthonormal_range
 
 
 class TestQrUnpivoted:
@@ -230,6 +230,39 @@ def test_factors_are_the_qr_of_the_column_order(name):
     assert np.array_equal(fac.r, np.ldexp(ref.r, e))
 
 
+def _eager_qr(a):
+    # the QR with q formed at once, as the factorizations did before they
+    # formed q on demand
+    return _nonneg_diag(*np.linalg.qr(a))
+
+
+@pytest.mark.parametrize("q_first", (True, False), ids=("q-first", "r-first"))
+@pytest.mark.parametrize("j", (0, -600, 600))
+@pytest.mark.parametrize("name", ("ships-400x200", "kahan-100", "svir-31x4"))
+def test_on_demand_factors_keep_the_eager_bits(name, j, q_first):
+    """q and u are formed on their first read; whichever factor is read
+    first, each has the bits of the eager formula and is read-only."""
+    a = np.ldexp(_ROUTE_INPUTS[name](), j)
+    piv = qr_col_pivoted(a)
+    e = _pow2_exponent(a)
+    q_piv, r_piv = _eager_qr(np.ldexp(a[:, piv.perm], -e))
+    q, r = _eager_qr(a)
+    u_r, sigma, vt = np.linalg.svd(r)
+    cases = (
+        (qr_unpivoted(a), {"q": q, "r": r}),
+        (piv, {"q": q_piv, "r": np.ldexp(r_piv, e)}),
+        (svd(a), {"u": q @ u_r, "sigma": sigma, "v": vt.T}),
+    )
+    for fac, eager in cases:
+        names = list(eager) if q_first else list(eager)[::-1]
+        for attr in names:
+            got = getattr(fac, attr)
+            assert np.array_equal(got, eager[attr]), (type(fac).__name__, attr)
+            assert not got.flags.writeable, (type(fac).__name__, attr)
+            with pytest.raises(AttributeError):
+                setattr(fac, attr, eager[attr])
+
+
 def _tiny_pair(seed):
     # one column of norm 0.75 and two of norm about 1e-160 within 3e-4 of
     # each other, whose entries' squares underflow
@@ -276,13 +309,18 @@ _R_ONLY_INPUTS = {
     "ships-400x200": lambda: _ships(400, 200),
     "trailing-view": lambda: qr_unpivoted(_ships(200, 100)).r[37:, 37:],
     "wide-exchange-block": _wide_exchange_block,
+    "kahan-100": _ROUTE_INPUTS["kahan-100"],
+    "svir-31x4": _ROUTE_INPUTS["svir-31x4"],
+    "ships-400x200-2^-600": lambda: np.ldexp(_ships(400, 200), -600),
+    "ships-400x200-2^600": lambda: np.ldexp(_ships(400, 200), 600),
 }
 
 
 @pytest.mark.parametrize("name", _R_ONLY_INPUTS)
 def test_r_only_qr_is_the_reduced_qrs_r(name):
-    """css's exchanges take R alone, of square and of wide blocks; they rely
-    on both modes of np.linalg.qr running the same dgeqrf on the same copy."""
+    """css's exchanges and the starts take R alone, of square and of wide
+    blocks, and q is formed on demand by a second, reduced QR; they rely on
+    both modes of np.linalg.qr running the same dgeqrf on the same copy."""
     a = _R_ONLY_INPUTS[name]()
     assert np.array_equal(np.linalg.qr(a, mode="r"), np.linalg.qr(a)[1])
 

@@ -21,6 +21,7 @@ from cssident import (
     svir_sensitivity,
     theorem_bound_checks,
 )
+from cssident.generators import realize
 
 
 def _selection_missing_range(caution_matrix):
@@ -97,6 +98,33 @@ class TestComputeMetrics:
         res = css_b1(a, 3)
         with pytest.raises(InputDomainError):
             compute_metrics(b, svd(b), res)
+
+    NOT_FROM_CHI = "result was not produced from this matrix"
+
+    @staticmethod
+    def _ships(seed):
+        return realize({"family": "ships", "n": 200, "p": 100, "spectrum": {"k": 20}},
+                       seed)
+
+    def test_result_of_another_seed_rejected(self):
+        chi = self._ships(0)
+        res = css_srrqr(self._ships(1), 20)
+        with pytest.raises(InputDomainError, match=self.NOT_FROM_CHI):
+            compute_metrics(chi, svd(chi), res)
+
+    def test_result_with_doubled_r_rejected(self):
+        chi = self._ships(0)
+        res = css_srrqr(chi, 20)
+        doubled = QrFactors(perm=res.perm, q=res.factors.q, r=2.0 * res.factors.r)
+        with pytest.raises(InputDomainError, match=self.NOT_FROM_CHI):
+            compute_metrics(chi, svd(chi), dataclasses.replace(res, factors=doubled))
+
+    @pytest.mark.parametrize("j", (-600, 600))
+    def test_results_on_scaled_input_accepted(self, j):
+        chi = np.ldexp(self._ships(0), j)
+        for fn in (css_b1, css_b4, css_b3, css_srrqr):
+            rec = compute_metrics(chi, svd(chi), fn(chi, 20))
+            assert rec.gamma1 <= 1.0 + 1e-8
 
     def test_gamma_invariants_seeded(self):
         rng = np.random.default_rng(77)
