@@ -63,9 +63,11 @@ def compute_metrics(chi, chi_svd: SvdFactors, result: CssResult) -> MetricsRecor
     arr = check_matrix(chi)
     n, p = arr.shape
     k = result.k
-    if not np.all(np.isfinite(result.factors.r)):
-        raise NumericalFailureError("the result's factors overflowed")
-    if result.factors.column_norm_error(arr) > 100 * RECON_TOL:
+    # chi is finite, so the misfit is finite exactly where r is
+    misfit = result.factors.column_norm_error(arr)
+    if not math.isfinite(misfit):
+        raise NumericalFailureError("the result's factors are not finite")
+    if misfit > 100 * RECON_TOL:
         raise InputDomainError("result was not produced from this matrix")
     sigma = chi_svd.sigma
     sigma1 = float(sigma[0])
