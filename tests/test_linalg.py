@@ -241,7 +241,8 @@ def _eager_qr(a):
 @pytest.mark.parametrize("name", ("ships-400x200", "kahan-100", "svir-31x4"))
 def test_on_demand_factors_keep_the_eager_bits(name, j, q_first):
     """q and u are formed on their first read; whichever factor is read
-    first, each has the bits of the eager formula and is read-only."""
+    first, each has the bits of the eager formula and is read-only, as has
+    the basis of orthonormal_range."""
     a = np.ldexp(_ROUTE_INPUTS[name](), j)
     piv = qr_col_pivoted(a)
     e = _pow2_exponent(a)
@@ -261,6 +262,9 @@ def test_on_demand_factors_keep_the_eager_bits(name, j, q_first):
             assert not got.flags.writeable, (type(fac).__name__, attr)
             with pytest.raises(AttributeError):
                 setattr(fac, attr, eager[attr])
+    # orthonormal_range forms its q at once, with the same bits
+    basis = orthonormal_range(a)
+    assert np.array_equal(basis, (q @ u_r)[:, :basis.shape[1]])
 
 
 def _tiny_pair(seed):
