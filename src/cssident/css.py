@@ -30,9 +30,9 @@ b4 and b3 pick each column from the dominant right singular vectors of the
 trailing block.  They take the pick from that block's Gram matrix, from
 one eigenvector where they read one and from an eigendecomposition where
 they read several, and keep it where a Davis-Kahan certificate shows that
-the SVD of the block picks the same column; otherwise the SVD decides.  Their
-``perm`` is then the SVD's at every step, by the certificate's error bound
-(see :func:`css_b4`).  All three back off to the SVD alone after repeated
+the SVD of the block picks the same column; otherwise the SVD decides.
+Their ``perm`` is then the SVD's at every step, by the certificate's
+error bound (see :func:`css_b4`).  All three back off to the SVD alone after repeated
 uncertified steps.
 """
 from __future__ import annotations
@@ -500,8 +500,8 @@ def css_b4(chi, k: int) -> CssResult:
     is off by at most sqrt(2) times that.  The pick is kept when the gap
     between the two largest entries exceeds 16 times the sum of that bound
     and the SVD's own error eps ||B|| / (sigma_1 - sigma_2) plus rounding;
-    exact ties never pass.  Otherwise the SVD of the block decides, as it does
-    for blocks of 32 or fewer columns and, as in :func:`css_b1`, for the
+    exact ties never pass.  Otherwise the SVD of the block decides, as it
+    does for blocks of 32 or fewer columns and, as in :func:`css_b1`, for the
     next 2^(f-2) - 1 steps after f >= 2 uncertified steps in a row.  On a
     certified step both routes pick the same column, so ``perm`` is the
     SVD's at every step; the factors are the QR of ``chi[:, perm]``.  On the
@@ -526,9 +526,9 @@ def css_b3(chi, k: int, chi_svd: SvdFactors | None = None) -> CssResult:
     the Gram matrix, whose top-d subspace Davis-Kahan puts within delta /
     (w_d - w_{d+1} - 2 delta), with the SVD's error eps ||B|| / (sigma_d -
     sigma_{d+1}) in place of that of the first pair; the last step (d = 1)
-    is b4's.  The SVD decided 0 of
-    800 steps on ships 400x200 (k = 40), 0 of 640 on ships 200x100 (k = 20)
-    and 10613 of 11880 on Kahan n = 100 (k = 99), where the column norms
+    is b4's.  The SVD decided 0 of 800 steps on ships 400x200 (k = 40), 0
+    of 640 on ships 200x100 (k = 20) and 10613 of 11880 on Kahan n = 100
+    (k = 99), where the column norms
     tie to rounding level over long runs of early steps, so the backoff
     leaves most later steps to the SVD too.  ``extras`` counts the
     steps the SVD decided (``svd_fallbacks``) and reports the norm
