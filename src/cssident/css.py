@@ -237,8 +237,8 @@ def _exchange(r, perm, a: int, b: int) -> None:
 # straight to the SVD (below about 32 to 40 columns a certified step costs
 # more than the SVD it replaces) and the factor by which an argmax margin
 # must exceed its error bound
-_B1_BLOCK = 4
-_B1_MAX_SWEEPS = 16
+_B1_BLOCK = 8
+_B1_MAX_SWEEPS = 8
 _SMALL = 32
 _SAFETY = 8.0
 
@@ -322,17 +322,22 @@ def css_b1(chi, k: int) -> CssResult:
     |r_ll| <= sqrt(l) * sigma_l.
 
     Only that entry's position m is needed.  For l > 32 it is estimated by
-    a block inverse iteration with 4 vectors on M = R11^{-1} R11^{-T}
-    (eigenvalues theta = 1/sigma^2), which applies triangular solves only,
-    starts from the previous step's Ritz vectors and runs on R scaled by a
-    power of two.  Each sweep takes the Ritz pairs from the SVD of the thin
+    a block inverse iteration with 8 vectors on M = R11^{-1} R11^{-T}
+    (eigenvalues theta = 1/sigma^2), which applies triangular solves only
+    and runs on R scaled by a power of two.  It starts from the previous
+    step's 7 smallest Ritz vectors and one fixed column: once column m is
+    deleted, the new smallest right singular vector is (V (Sigma^2 -
+    lambda)^{-1} V^T e_m) without row m, with lambda between the squares of
+    the previous block's two smallest singular values (Golub's secular
+    equation), so its largest weights fall on the previous smallest
+    vectors.  Each sweep takes the Ritz pairs from the SVD of the thin
     matrix R11^{-T} X.  From the second sweep on, m is accepted when the
     gap between the two largest entries of the first Ritz vector exceeds 8
     times the sum of the iteration's error bound res_1 / (theta_1 - theta_2
     - res_2) and the exact SVD's own error eps ||R11|| / (sigma_{l-1} -
     sigma_l).  Otherwise the SVD of R11 decides: at once when that SVD
     error alone rules out a certificate or when the error bound, shrinking
-    by theta_4 / theta_1 per sweep, would not get there within 16 sweeps;
+    by theta_8 / theta_1 per sweep, would not get there within 8 sweeps;
     also for blocks of 32 or fewer columns, a zero diagonal entry or
     non-finite solves.  After f >= 2 uncertified steps in a row the SVD
     also decides the next 2^(f-2) - 1 steps, which bounds the work spent
@@ -340,16 +345,17 @@ def css_b1(chi, k: int) -> CssResult:
     routes pick the same m, so ``perm`` is the SVD's at every step; the
     factors are the QR of ``chi[:, perm]``.  The certificate is not sound:
     its gap uses the Ritz value theta_2, a lower bound on the second
-    eigenvalue of M where an upper bound is needed, so it can vouch for a
-    pick the SVD does not make.  A 120 x 60 input with sigma =
-    1 +- logspace(-12, -2) (alternating signs, Haar U and V from
-    ``default_rng(3)``), k = 12, shows it: at l = 59 the iteration
-    certifies column 36 after 2 sweeps where the SVD picks column 1.
-    Without the backoff it certified wrong picks on 2 of 3 clustered
-    400 x 200 inputs, so the backoff guards correctness as well as time.
-    The error bound also assumes that the start block has a component
-    along the wanted vector.  ``extras`` counts the steps the SVD decided
-    (``svd_fallbacks``) and the sweeps run (``solve_sweeps``).
+    eigenvalue of M where an upper bound is needed, and its error bound
+    assumes that the start block has a component along the wanted vector.
+    Called directly on the leading l x l blocks of R for ships 200 x 100
+    (seeds 0-9, l = 100, 60, 30) with 8 Gaussian start columns from which
+    that vector is projected out, the iteration certifies a wrong pick on
+    28 of the 30 blocks.  The warm starts here gave the SVD's ``perm`` on
+    200 clustered 120 x 60 inputs (sigma = 1 +- logspace(-12, -2),
+    alternating signs, Haar U and V, k = 12) and on 3 clustered 400 x 200
+    ones (k = 40) also with the backoff removed; the fixed column and the
+    backoff stay as the only guards.  ``extras`` counts the steps the SVD
+    decided (``svd_fallbacks``) and the sweeps run (``solve_sweeps``).
     """
     arr = _check_css_input(chi, k)
     r, perm, _ = _working(qr_unpivoted(arr))
@@ -376,8 +382,10 @@ def css_b1(chi, k: int) -> CssResult:
         # ell are left as they are
         _exchange(r[:ell, :ell], perm, m, ell - 1)
         if ell - 1 > _SMALL:
-            # the exchange moves column ell-1 to m and drops the old column m
-            start = ritz[:, 1:].copy()
+            # the next smallest right singular vector lies mostly along the
+            # smallest Ritz vectors (see the docstring), so those are kept.
+            # The exchange moves column ell-1 to m and drops the old column m
+            start = ritz[:, :-1].copy()
             start[m] = start[ell - 1]
             start = np.column_stack([start[: ell - 1], fresh[: ell - 1]])
     extras = {"svd_fallbacks": fallbacks, "solve_sweeps": sweeps}

@@ -25,7 +25,7 @@ from cssident import (
     svd,
 )
 from cssident.bench import realize
-from cssident.css import _exchange, _gram_certified_pick, _working
+from cssident.css import _B1_BLOCK, _exchange, _gram_certified_pick, _working
 from cssident.linalg import _EPS, _nonneg_diag
 from cssident.metrics import compute_metrics, theorem_bound_checks
 
@@ -185,6 +185,18 @@ def _near_tie_matrix(n=30, p=20):
     return u @ np.diag(np.logspace(0, -1, p)) @ v.T
 
 
+def _clustered_matrix(n=120, p=60, seed=3):
+    # sigma = 1 +- logspace(-12, -2) with alternating signs and Haar U and V.
+    # A start that drops the previous step's smallest Ritz vector certifies
+    # a wrong pick here (column 36 for the SVD's column 1 at l = 59)
+    rng = np.random.default_rng(seed)
+    signs = np.where(np.arange(p) % 2, 1, -1)
+    sigma = np.sort(1.0 + np.logspace(-12, -2, p) * signs)
+    u = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    v = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return u @ np.diag(sigma[::-1]) @ v.T
+
+
 B1_ITERATION_CASES = {
     **{f"ships200-{seed}": (lambda seed=seed: _ships(200, 100, 20, seed), 20)
        for seed in range(4)},
@@ -194,6 +206,7 @@ B1_ITERATION_CASES = {
     "kahan-0.99999": (lambda: gen_kahan(100, 0.99999), 50),
     "gu-eisenstat": (lambda: gen_gu_eisenstat(100, 0.99), 50),
     "gaussian-300x150": (lambda: np.random.default_rng(7).standard_normal((300, 150)), 30),
+    "clustered-120x60": (_clustered_matrix, 12),
 }
 
 
@@ -211,6 +224,16 @@ class TestCssB1InverseIteration:
         res = css_b1(chi, 20)
         assert res.extras["svd_fallbacks"] < (100 - 20) // 4
         assert res.extras["solve_sweeps"] >= 2 * (100 - 20 - res.extras["svd_fallbacks"])
+
+    @pytest.mark.parametrize("case", ("ships200-0", "ships400-10"))
+    def test_warm_start_keeps_sweeps_low(self, case):
+        # counts do not jitter: a step started from the previous step's
+        # smallest Ritz vectors is certified after about 2 sweeps
+        make, k = B1_ITERATION_CASES[case]
+        chi = make()
+        extras = css_b1(chi, k).extras
+        certified = chi.shape[1] - k - extras["svd_fallbacks"]
+        assert extras["solve_sweeps"] <= 2.5 * certified
 
     def test_near_tie_falls_back_to_the_svd(self):
         chi = _near_tie_matrix()
@@ -366,9 +389,9 @@ class TestExchange:
             assert_allclose(r, ref, rtol=0, atol=4 * p * _EPS * np.max(np.abs(ref)))
 
     def test_no_exchange_forms_a_q(self, monkeypatch):
-        # apart from b1's l x 4 iteration QRs every QR takes R alone: the
-        # start and result QRs (200 x 100) and the exchanges, of which
-        # srrqr's are of its wide rows
+        # apart from b1's l x _B1_BLOCK iteration QRs every QR takes R
+        # alone: the start and result QRs (200 x 100) and the exchanges, of
+        # which srrqr's are of its wide rows
         calls = []
         numpy_qr = np.linalg.qr
 
@@ -384,7 +407,8 @@ class TestExchange:
             with_q = [shape for mode, shape in calls if mode != "r"]
             exchanges = [shape for mode, shape in calls
                          if mode == "r" and shape != chi.shape]
-            assert all(alg == "b1" and shape[1] == 4 for shape in with_q), alg
+            assert all(alg == "b1" and shape[1] == _B1_BLOCK
+                       for shape in with_q), alg
             # b3 called without svd(chi) takes it itself
             assert calls.count(("r", chi.shape)) == 2 + (alg == "b3"), alg
             if alg == "srrqr":
