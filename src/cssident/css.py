@@ -116,6 +116,8 @@ def select_k(sigma, policy: RankPolicy) -> RankSelection:
     sig = np.asarray(sigma, dtype=float)
     if sig.ndim != 1 or sig.size == 0:
         raise InputDomainError("sigma must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(sig)):
+        raise InputDomainError("sigma must be finite")
     if np.any(np.diff(sig) > 0) or np.any(sig < 0):
         raise InputDomainError("sigma must be nonnegative and descending")
     p = sig.size

@@ -2,7 +2,9 @@
 
 Every :class:`QrFactors` is the unpivoted QR of its column order: a
 pivoted search decides only ``perm``, and the factors are the QR of
-``a[:, perm]``.  They follow one nonnegative-diagonal convention, applied
+``a[:, perm]``.  That search takes LAPACK's ``dgeqp3`` order, or the
+classical greedy loop's, with lowest-index ties, when the two largest
+columns tie.  They follow one nonnegative-diagonal convention, applied
 by ``_nonneg_rows``: after the backend Householder QR, each column of Q
 and row of R is sign-flipped so that diag(R) >= 0.  Permutations are
 stored as index arrays ``perm`` with the meaning ``a[:, perm] == q @ r``.
@@ -244,84 +246,43 @@ def _householder_pivoted(r: np.ndarray) -> np.ndarray:
 
 
 def _rounding_bound(n: int, norm_a, norm_b):
-    # how far apart two trailing column norms of an n-row matrix may be
-    # computed by two backward-stable factorizations, given the columns'
-    # input norms
+    # how far apart two column norms of an n-row matrix may be computed by
+    # two backward-stable factorizations, given the columns' input norms:
+    # qr_col_pivoted's test for a tie between its two largest columns
     return 16.0 * n * _EPS * (norm_a + norm_b)
 
 
-def _certified_prefix(r: np.ndarray, col_norms: np.ndarray, n: int) -> int:
-    # number J of leading pivots of the pivoted factor r (columns in pivot
-    # order, col_norms their input norms) that the greedy loop chooses as
-    # well: at every step j < J the pivot's trailing norm ||r[j:, j]|| beats
-    # every other ||r[j:, c]|| by more than the rounding bound, which covers
-    # both factorizations' errors in those norms unless their squares
-    # underflow
-    p = r.shape[1]
-    squares = np.cumsum((r * r)[::-1], axis=0)[::-1]
-    others = np.where(np.triu(np.ones((p, p), dtype=bool), 1), squares, -1.0)[:-1]
-    runner = np.argmax(others, axis=1)
-    steps = np.arange(p - 1)
-    margin = np.sqrt(squares[steps, steps]) - np.sqrt(others[steps, runner])
-    certified = margin > _rounding_bound(n, col_norms[:-1], col_norms[runner])
-    failed = np.flatnonzero(~certified)
-    return int(failed[0]) if failed.size else p
-
-
-def _replay_swaps(piv: np.ndarray, steps: int) -> np.ndarray:
-    # column order after the first ``steps`` pivot swaps of the greedy loop,
-    # which swaps position j with the current position of column piv[j]
-    order = identity_perm(piv.size)
-    where = identity_perm(piv.size)
-    for j in range(steps):
-        m, c = where[piv[j]], order[j]
-        order[j], order[m] = piv[j], c
-        where[piv[j]], where[c] = j, m
-    return order
-
-
 def qr_col_pivoted(a) -> QrFactors:
-    """Householder QR with classical greedy max-column-norm pivoting.
+    """Householder QR with greedy max-column-norm pivoting.
 
     A search decides the column order; the factors are the QR of that
     order.  At each step the pivot is the remaining column with the largest
-    2-norm of the updated trailing block; ties break to the lowest index.
-    The search runs on a copy scaled by an exact power of two, so the
-    column norms cannot over- or underflow and the pivots do not depend on
-    the input's units.  The factors are ``qr_unpivoted`` of a fresh copy of
-    the scaled columns in ``perm`` order, with r scaled back, so |diag(r)|
-    is nonincreasing up to rounding; as there, q is formed on its first
-    read.
+    2-norm of the updated trailing block, up to rounding.  The search runs
+    on a copy scaled by an exact power of two, so the column norms cannot
+    over- or underflow and the pivots do not depend on the input's units.
+    The factors are ``qr_unpivoted`` of a fresh copy of the scaled columns
+    in ``perm`` order, with r scaled back, so |diag(r)| is nonincreasing up
+    to rounding; as there, q is formed on its first read.
 
-    LAPACK's blocked pivoted QR (``dgeqp3``) proposes the order, and its
-    pivots are kept for as long as each one beats the runner-up by more
-    than a rounding bound of 16 n eps (||a_pivot|| + ||a_runner||); the
-    trailing norms are read from its R.  From the first step that bound
-    does not certify, a Householder loop with norms recomputed from the
-    trailing block and lowest-index ties decides the rest, on LAPACK's
-    trailing block.  When the two largest input columns already lie within
-    the bound (Kahan matrices, equal-norm columns), that loop orders the
-    whole input.  Pivots among trailing norms below the rounding level are
-    set by rounding.
+    The order is LAPACK's blocked pivoted QR (``dgeqp3``), so among
+    trailing norms within rounding of each other the pivot is LAPACK's.
+    When the two largest input columns tie, lying within the rounding
+    bound 16 n eps (||a_i|| + ||a_j||) of each other (Kahan matrices,
+    equal-norm columns), the classical loop orders the whole input
+    instead: norms recomputed from the trailing block, ties to the lowest
+    index.  Pivots among trailing norms below the rounding level are set
+    by rounding.
     """
     arr = check_matrix(a)
     _require_tall(arr, "qr_col_pivoted")
     n, p = arr.shape
     e = _pow2_exponent(arr)
     s = np.ldexp(arr, -e)
-    col_norms = np.linalg.norm(s, axis=0)
-    top = np.sort(col_norms)[-2:]
+    top = np.sort(np.linalg.norm(s, axis=0))[-2:]
     if p > 1 and top[1] - top[0] <= _rounding_bound(n, top[1], top[0]):
         perm = _householder_pivoted(s)
     else:
-        r, perm = sla.qr(s, mode="r", pivoting=True, check_finite=False)
-        r, perm = r[:p], perm.astype(int)
-        done = _certified_prefix(r, col_norms[perm], n)
-        if done < p:
-            # the loop's column order at step `done`, as columns of r
-            cols = np.argsort(perm)[_replay_swaps(perm, done)]
-            cols[done:] = cols[done:][_householder_pivoted(r[done:, cols[done:]])]
-            perm = perm[cols]
+        perm = sla.qr(s, mode="r", pivoting=True, check_finite=False)[1].astype(int)
     cols = np.ldexp(arr[:, perm], -e)
     return QrFactors(perm, r=np.ldexp(_qr_r(cols), e), cols=cols)
 
@@ -343,11 +304,15 @@ def svd(a) -> SvdFactors:
 
 
 def _svd_r(r: np.ndarray):
-    # the SVD of a QR's triangular factor, the inner step of svd
+    # the SVD of a QR's triangular factor, the inner step of svd; LAPACK may
+    # also return non-finite singular values without an error
     try:
-        return np.linalg.svd(r)
+        ur, sigma, vt = np.linalg.svd(r)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise NumericalFailureError(f"inner SVD did not converge: {exc}") from exc
+    if not np.all(np.isfinite(sigma)):
+        raise NumericalFailureError("inner SVD returned non-finite singular values")
+    return ur, sigma, vt
 
 
 def singular_values(a) -> np.ndarray:

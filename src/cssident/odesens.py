@@ -86,6 +86,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 1:
             raise InputDomainError("time grid must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(t)):
+            raise InputDomainError("time grid must be finite")
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise InputDomainError("time grid must be strictly increasing")
         object.__setattr__(self, "times", t)

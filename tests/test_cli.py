@@ -88,8 +88,8 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_svd_failure_exits_3(self, tmp_path, capsys):
-        # LAPACK's SVD does not converge on these entries; LinAlgError is a
-        # ValueError, but a numerical failure, not an input error
+        # the QR of these entries overflows, so the SVD of chi has non-finite
+        # singular values: a numerical failure, not an input error
         path = tmp_path / "huge.csv"
         write_csv(np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]), path)
         for algorithm in ALGORITHMS:

@@ -88,6 +88,9 @@ class TestSelectK:
             select_k([1.0, 2.0], RankPolicy.gap())
         with pytest.raises(InputDomainError):
             select_k([1.0], RankPolicy.gap())
+        for bad in ([2.0, np.nan, 1.0], [np.inf, 1.0], [2.0, 1.0, -np.inf]):
+            with pytest.raises(InputDomainError, match="sigma must be finite"):
+                select_k(bad, RankPolicy.absolute(0.5))
 
 
 class TestCssB1:

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,9 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+import cssident
 from cssident import (
     NOMINAL_SVIR,
     InputDomainError,
+    NumericalFailureError,
     condition_number,
     gen_kahan,
     linalg,
@@ -133,8 +141,15 @@ def _shapes_the_loop_ran_on(monkeypatch, a):
     return qr_col_pivoted(a), shapes
 
 
+_KAHAN_100 = {"family": "kahan", "n": 100, "zeta_range": [0.9, 0.99999]}
+
+
+def _ships_spec(n, p):
+    return {"family": "ships", "n": n, "p": p, "spectrum": {"k": p // 5}}
+
+
 def _ships(n, p):
-    return realize({"family": "ships", "n": n, "p": p, "spectrum": {"k": p // 5}}, 0)
+    return realize(_ships_spec(n, p), 0)
 
 
 def _equal_leading_norms():
@@ -147,56 +162,25 @@ def _equal_leading_norms():
 
 
 class TestQrColPivotedRoutes:
-    """LAPACK's certified pivots, the loop on the uncertified rest, or the
-    loop alone on a step-0 tie: each route gives the reference's perm."""
+    """LAPACK's order, or the loop alone when the two largest columns tie:
+    each route gives the reference's perm."""
 
     @pytest.mark.parametrize("a", (
         realize({"family": "gaussian", "n": 31, "p": 4}, 0),
         svir_sensitivity(NOMINAL_SVIR),
-    ), ids=("gaussian-31x4", "svir-31x4"))
-    def test_fully_certified(self, monkeypatch, a):
+        _ships(200, 100),
+        _ships(400, 200),
+    ), ids=("gaussian-31x4", "svir-31x4", "ships-200x100", "ships-400x200"))
+    def test_lapack_order_without_a_top_tie(self, monkeypatch, a):
         fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
         assert shapes == []
         perm, r = _greedy_loop_reference(a)
         assert np.array_equal(fac.perm, perm)
         assert np.max(np.abs(fac.r - r)) <= 1e-13 * np.max(np.abs(r))
-
-    @pytest.mark.parametrize("n, p", ((200, 100), (400, 200)))
-    def test_certified_prefix_then_loop(self, monkeypatch, n, p):
-        a = _ships(n, p)
-        fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
-        assert len(shapes) == 1 and shapes[0][0] == shapes[0][1] < p
-        perm, r = _greedy_loop_reference(a)
-        assert np.array_equal(fac.perm, perm)
-        assert np.max(np.abs(fac.r - r)) <= 1e-13 * np.max(np.abs(r))
-        fac.validate(a)
-
-    def test_uncertified_pivot_is_redecided_in_the_loops_order(self, monkeypatch):
-        # columns y, w, z, b on disjoint rows, ||b|| > ||y|| = ||w|| > ||z||:
-        # the greedy loop takes b, swapping it with y, then w, which now sits
-        # before y, then y and z.  A pivoted QR that takes z second is caught
-        # by the certificate; the loop then redecides the exact tie between
-        # w and y from the column order after the first swap, not from the
-        # order that QR left (b, z, y, w)
-        a = np.zeros((6, 4))
-        a[2:4, 0] = [1.0, 2.0]
-        a[4:6, 1] = [2.0, 1.0]
-        a[1, 2] = 1.0
-        a[0, 3] = 3.0
-
-        def misordered_qr(s, mode, **_):
-            assert mode == "r"
-            piv = np.array([3, 2, 0, 1], dtype=np.int32)
-            return np.linalg.qr(s[:, piv], mode="r"), piv
-
-        monkeypatch.setattr(linalg.sla, "qr", misordered_qr)
-        fac, shapes = _shapes_the_loop_ran_on(monkeypatch, a)
-        assert shapes == [(3, 3)]
-        assert list(fac.perm) == list(_greedy_loop_reference(a)[0]) == [3, 1, 0, 2]
         fac.validate(a)
 
     @pytest.mark.parametrize("a", (
-        realize({"family": "kahan", "n": 100, "zeta_range": [0.9, 0.99999]}, 0),
+        realize(_KAHAN_100, 0),
         np.eye(3),
         _equal_leading_norms(),
     ), ids=("kahan-100", "eye-3", "equal-leading-norms"))
@@ -207,8 +191,7 @@ class TestQrColPivotedRoutes:
 
 
 _ROUTE_INPUTS = {
-    "kahan-100": lambda: realize(
-        {"family": "kahan", "n": 100, "zeta_range": [0.9, 0.99999]}, 0),
+    "kahan-100": lambda: realize(_KAHAN_100, 0),
     "eye-3": lambda: np.eye(3),
     "equal-leading-norms": _equal_leading_norms,
     "ships-400x200": lambda: _ships(400, 200),
@@ -219,9 +202,9 @@ _ROUTE_INPUTS = {
 
 @pytest.mark.parametrize("name", _ROUTE_INPUTS)
 def test_factors_are_the_qr_of_the_column_order(name):
-    """On every route (step-0 tie, certified prefix then loop, fully
-    certified) the factors are qr_unpivoted of the scaled columns in perm
-    order, with r scaled back, bit for bit."""
+    """On both routes (the loop on a tie between the two largest columns,
+    LAPACK's order otherwise) the factors are qr_unpivoted of the scaled
+    columns in perm order, with r scaled back, bit for bit."""
     a = _ROUTE_INPUTS[name]()
     fac = qr_col_pivoted(a)
     e = _pow2_exponent(a)
@@ -291,6 +274,33 @@ def test_pivots_among_columns_whose_squares_underflow(seed):
     assert list(perm[:2]) == [0, second]
     loop = linalg._householder_pivoted(np.ldexp(a, -_pow2_exponent(a)))
     assert np.array_equal(perm, loop)
+
+
+# prints qr_col_pivoted's perm of realize(spec, seed) for each (spec, seed)
+# of the JSON list in argv[1], as one JSON list
+_PERM_SCRIPT = """
+import json, sys
+from cssident import qr_col_pivoted
+from cssident.generators import realize
+cases = json.loads(sys.argv[1])
+print(json.dumps([qr_col_pivoted(realize(g, s)).perm.tolist() for g, s in cases]))
+"""
+
+
+def test_pivot_order_does_not_depend_on_the_blas_thread_count():
+    """LAPACK alone decides the order without a tie at the top (ships), the
+    loop with one (Kahan): on both routes a child at two BLAS threads picks
+    the perms this process picks at the suite's count, one unless the
+    environment sets another."""
+    cases = [(_ships_spec(400, 200), 0), (_ships_spec(400, 200), 1), (_KAHAN_100, 0)]
+    src = str(Path(cssident.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _PERM_SCRIPT, json.dumps(cases)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    here = [qr_col_pivoted(realize(g, s)).perm.tolist() for g, s in cases]
+    assert json.loads(proc.stdout) == here
 
 
 def _triangular_with_swapped_columns():
@@ -389,6 +399,15 @@ class TestSvd:
         oracle = np.sqrt(np.maximum(np.linalg.eigvalsh(a.T @ a)[::-1], 0.0))
         keep = sigma > 1e-6 * sigma[0]
         assert_allclose(sigma[keep], oracle[keep], rtol=1e-8)
+
+    def test_nonfinite_singular_values_raise(self):
+        # the QR of these entries overflows, and LAPACK's SVD of its R returns
+        # NaN singular values without an error
+        a = np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]])
+        with np.errstate(all="ignore"):
+            for f in (svd, condition_number):
+                with pytest.raises(NumericalFailureError, match="non-finite"):
+                    f(a)
 
     def test_reconstruct_many_seeded(self):
         # svd o reconstruct is the identity within tol_recon

@@ -129,6 +129,13 @@ class TestIntegrate:
             integrate(lambda t, x: -x, np.array([1.0]), TimeGrid.days(3),
                       substeps=0)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_grid_rejects_nonfinite_times(self, bad):
+        # a NaN passes the increasing check, and an inf end passes it too
+        for times in ([0.0, bad, 2.0], [0.0, 1.0, 2.0, bad]):
+            with pytest.raises(InputDomainError, match="time grid must be finite"):
+                TimeGrid(np.array(times))
+
 
 class TestPopulationBookkeeping:
     def test_total_change_matches_vaccination_inflow(self):
