@@ -3,6 +3,9 @@ dynamical system realizing a prescribed sensitivity SVD.
 
 An SVIR state is an array whose first axis is (S, V, I, R); trailing
 axes hold independent trajectories, which :func:`integrate` steps as one.
+Complex-step sensitivities step each trajectory in Python floats instead,
+as (re, im) pairs with complex products written out, so their bits do not
+depend on numpy's runtime SIMD dispatch.
 
 The SVIR right-hand side is implemented exactly as printed in the source
 model: the susceptible equation carries no -nu*S term, so the total
@@ -12,6 +15,7 @@ silently corrected.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,13 +186,67 @@ def integrate(rhs, x0, grid: TimeGrid, substeps: int) -> np.ndarray:
     return out
 
 
-def _infectious_trajectories(qs: np.ndarray, ic: SvirState, grid: TimeGrid,
-                             substeps: int) -> np.ndarray:
-    # I(t) for every column of the 4 x m parameter array qs, integrated as
-    # one 4 x m state; returns len(grid) x m
-    x0 = np.repeat(ic.as_array(qs.dtype)[:, None], qs.shape[1], axis=1)
-    traj = integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)
-    return traj[:, 2]
+def _complex_step_infectious(q, ic: SvirState, times: list,
+                             substeps: int) -> list:
+    # Im I(t) on the grid for one complex parameter vector q, given as the
+    # (re, im) pairs of (beta, nu, alpha, gamma): integrate(svir_rhs) on a
+    # state of (re, im) pairs in Python floats, in the same operation
+    # order.  A complex product is written out as (ar*br - ai*bi,
+    # ar*bi + ai*br), which numpy rounds that way only without fused
+    # multiply-adds; numpy divides a complex by a real N as a multiply by
+    # 1/N; svir_rhs forms alpha*beta first, so it is formed once here.
+    if substeps < 1:
+        raise InputDomainError("substeps must be >= 1")
+    (br, bi), (nr, ni), (ar, ai), (gr, gi) = q
+    abr, abi = ar * br - ai * bi, ar * bi + ai * br
+    inv_n = 1.0 / float(ic.n)
+
+    def rhs(sr, si, vr, vi, ir, ii):
+        # d(S, V, I, R)/dt as (re, im) pairs; R does not enter it
+        bir, bii = br * ir - bi * ii, br * ii + bi * ir
+        xsr, xsi = (bir * sr - bii * si) * inv_n, (bir * si + bii * sr) * inv_n
+        abir, abii = abr * ir - abi * ii, abr * ii + abi * ir
+        xvr, xvi = (abir * vr - abii * vi) * inv_n, (abir * vi + abii * vr) * inv_n
+        gir, gii = gr * ir - gi * ii, gr * ii + gi * ir
+        return (-xsr, -xsi,
+                (nr * sr - ni * si) - xvr, (nr * si + ni * sr) - xvi,
+                (xsr + xvr) - gir, (xsi + xvi) - gii,
+                gir, gii)
+
+    sr, vr, ir, rr = ic.as_array().tolist()
+    si = vi = ii = ri = 0.0
+    isfinite = math.isfinite
+    out = [ii]
+    for idx in range(len(times) - 1):
+        h = (times[idx + 1] - times[idx]) / substeps
+        hh, h6 = 0.5 * h, h / 6.0
+        t = times[idx]
+        for _ in range(substeps):
+            a0, a1, a2, a3, a4, a5, a6, a7 = rhs(sr, si, vr, vi, ir, ii)
+            b0, b1, b2, b3, b4, b5, b6, b7 = rhs(
+                sr + hh * a0, si + hh * a1, vr + hh * a2, vi + hh * a3,
+                ir + hh * a4, ii + hh * a5)
+            c0, c1, c2, c3, c4, c5, c6, c7 = rhs(
+                sr + hh * b0, si + hh * b1, vr + hh * b2, vi + hh * b3,
+                ir + hh * b4, ii + hh * b5)
+            d0, d1, d2, d3, d4, d5, d6, d7 = rhs(
+                sr + h * c0, si + h * c1, vr + h * c2, vi + h * c3,
+                ir + h * c4, ii + h * c5)
+            sr = sr + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
+            si = si + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+            vr = vr + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+            vi = vi + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+            ir = ir + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4)
+            ii = ii + h6 * (((a5 + 2.0 * b5) + 2.0 * c5) + d5)
+            rr = rr + h6 * (((a6 + 2.0 * b6) + 2.0 * c6) + d6)
+            ri = ri + h6 * (((a7 + 2.0 * b7) + 2.0 * c7) + d7)
+            t = t + h
+            # entry by entry: a sum of finite entries can overflow
+            if not all(map(isfinite, (sr, si, vr, vi, ir, ii, rr, ri))):
+                raise IntegrationFailureError(
+                    f"non-finite state at t={t:.6g}", time=t)
+        out.append(ii)
+    return out
 
 
 def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
@@ -198,7 +256,12 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
     """n x 4 sensitivity of I(t_i) to (beta, nu, alpha, gamma).
 
     central-fd perturbs each parameter by step*max(|q_j|, 1e-8) on both
-    sides; complex-step evaluates Im f(q + ih e_j)/h with absolute step h.
+    sides and integrates the 8 trajectories with :func:`integrate`;
+    complex-step evaluates Im f(q + ih e_j)/h with absolute step h, each
+    trajectory through a scalar RK4 in real arithmetic that gives the bits
+    of svir_rhs under integrate on numpy's complex loops without fused
+    multiply-adds, under any SIMD dispatch.  A non-finite state raises
+    IntegrationFailureError at the earliest step any trajectory reaches it.
     Defaults: default_initial_state(), DEFAULT_GRID, DEFAULT_SENS_METHOD.
     """
     ic = ic or default_initial_state()
@@ -214,12 +277,23 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
         qs = np.repeat(q0[:, None], 8, axis=1)
         qs[j, 2 * j] += h
         qs[j, 2 * j + 1] -= h
-        f = _infectious_trajectories(qs, ic, grid, substeps)
+        # the 8 perturbed trajectories as one 4 x 8 state
+        x0 = np.repeat(ic.as_array()[:, None], 8, axis=1)
+        f = integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)[:, 2]
         return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)
-    h = method.step
-    qs = np.repeat(q0.astype(complex)[:, None], 4, axis=1)
-    qs[np.diag_indices(4)] += 1j * h
-    return np.imag(_infectious_trajectories(qs, ic, grid, substeps)) / h
+    h = float(method.step)
+    times = grid.times.tolist()
+    columns, failures = [], []
+    for j in range(4):
+        q = [(x, h if k == j else 0.0) for k, x in enumerate(q0.tolist())]
+        try:
+            columns.append(_complex_step_infectious(q, ic, times, substeps))
+        except IntegrationFailureError as exc:
+            failures.append(exc)
+    if failures:
+        # the earliest failure, which is what one batched state reports
+        raise min(failures, key=lambda exc: exc.time)
+    return np.array(columns).T / h
 
 
 def population_defect(params: SvirParams, ic: SvirState, grid: TimeGrid,

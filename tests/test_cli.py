@@ -454,6 +454,33 @@ class TestEnvironmentIndependence:
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize("method", ("central-fd", "complex-step"))
+    def test_svir_ignores_numpy_simd_dispatch(self, tmp_path, method):
+        # numpy's AVX2/AVX-512 complex loops round a product like a fused
+        # multiply-add; a child process runs with the targets turned off
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_features__
+        targets = [name for name in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+                   if __cpu_features__.get(name)]
+        if not targets:
+            pytest.skip("this CPU has none of the AVX2/AVX-512 targets")
+        argv = ["svir", "--method", method, "--days", "10", "--substeps", "20"]
+        default = tmp_path / "default.csv"
+        assert run_cli(*argv, "--output", str(default)) == 0
+        src = str(Path(cssident.__file__).resolve().parents[1])
+        env = {key: val for key, val in os.environ.items()
+               if not key.startswith("NPY_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+        baseline = tmp_path / "baseline.csv"
+        proc = subprocess.run([sys.executable, "-m", "cssident.cli", *argv,
+                               "--output", str(baseline)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert baseline.read_bytes() == default.read_bytes()
+
 
 SCHEMA_FILES = sorted(path.name for path in resources.files("cssident.schemas").iterdir()
                       if path.name.endswith(".schema.json"))
@@ -705,12 +732,19 @@ class TestSvir:
     def test_blowup_reports_one_line_and_no_warning(self, tmp_path, capsys, flag, value):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run_cli("svir", flag, value, "--days", "4",
+            code = run_cli("svir", "--method", "complex-step", flag, value, "--days", "4",
                            "--output", str(tmp_path / "s.csv"))
         assert code == 3
         assert [str(w.message) for w in caught] == []
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: non-finite state at t=")
+
+    @pytest.mark.parametrize("method", ("central-fd", "complex-step"))
+    def test_zero_substeps_exits_2(self, tmp_path, capsys, method):
+        assert run_cli("svir", "--method", method, "--substeps", "0",
+                       "--output", str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err == "error: substeps must be >= 1\n"
 
 
 class TestVerifyDyn:

@@ -1,3 +1,8 @@
+import importlib
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,6 +30,8 @@ from cssident import (
 )
 from cssident.linalg import SvdFactors
 from cssident.odesens import population_defect, susceptible_integral
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _rhs_of(state: SvirState, params: SvirParams) -> np.ndarray:
@@ -207,8 +214,45 @@ class TestSvirSensitivity:
         if method.kind == "central-fd":
             np.testing.assert_array_equal(sens, ref)
         else:
-            # complex products of arrays and of scalars may round differently
+            # under numpy's AVX2/AVX-512 loops a complex product rounds like
+            # a fused multiply-add, which the scalar kernel does not
             assert np.max(np.abs(sens - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("pool, draws", (("svir20", range(8)),
+                                             ("svir100", range(2))),
+                             ids=("svir20", "svir100"))
+    def test_complex_step_reproduces_the_golden_tables(self, pool, draws):
+        # the benchmark's committed sensitivities, bit for bit; perfbench/
+        # is read, never changed
+        table = json.loads((PERFBENCH / "golden" / f"{pool}.json").read_text())
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        moved = [draw for draw in draws
+                 if not np.array_equal(
+                     svir_sensitivity(workloads.svir_params(draw),
+                                      substeps=table["substeps"]),
+                     np.array(table["sens"][f"{draw}/complex-step"]))]
+        assert moved == []
+
+    @pytest.mark.parametrize("params, step", ((SvirParams(beta=1e300), 1e-20),
+                                              (NOMINAL_SVIR, 1e308)))
+    def test_complex_step_failure_time_matches_the_batched_state(self, params, step):
+        # reference: the four perturbed trajectories as one complex numpy
+        # state through integrate, which stops at the first non-finite step
+        ic, grid, substeps = default_initial_state(), TimeGrid.days(5), 100
+        qs = np.repeat(params.as_array(complex)[:, None], 4, axis=1)
+        qs[np.diag_indices(4)] += 1j * step
+        x0 = np.repeat(ic.as_array(complex)[:, None], 4, axis=1)
+        with pytest.raises(IntegrationFailureError) as ref:
+            integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)
+        with pytest.raises(IntegrationFailureError) as err:
+            svir_sensitivity(params, ic, grid, SensMethod.complex_step(step),
+                             substeps)
+        assert err.value.time == ref.value.time
+        assert str(err.value) == str(ref.value)
 
     def test_gap_policy_selects_three(self):
         sens = svir_sensitivity(NOMINAL_SVIR)

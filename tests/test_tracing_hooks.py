@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cssident import css, odesens
+from cssident import SensMethod, TimeGrid, css, odesens
 from cssident.bench import realize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,3 +60,22 @@ def test_selections_call_the_traced_qr_bindings(monkeypatch):
         start = "qr_col_pivoted" if algorithm == "srrqr" else "qr_unpivoted"
         assert names[0] == start and np.array_equal(calls[0][1], chi), algorithm
         assert names.count("qr_col_pivoted") == (algorithm == "srrqr"), algorithm
+
+
+def test_only_central_fd_integrates_through_the_traced_binding(monkeypatch):
+    # the tracer counts odesens.integrate calls, RK4 steps and rhs evaluations
+    # through the module binding; complex-step runs its own scalar RK4, so
+    # those counts are central-fd's alone
+    calls, integrate = [], odesens.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(odesens, "integrate", counting)
+    for method, expected in ((SensMethod.central_fd(), 1),
+                             (SensMethod.complex_step(), 0)):
+        calls.clear()
+        odesens.svir_sensitivity(odesens.NOMINAL_SVIR, None, TimeGrid.days(5),
+                                 method, 4)
+        assert len(calls) == expected, method.kind
