@@ -277,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--substeps", type=int, default=odesens.SVIR_SUBSTEPS)
     ps.add_argument("--method", choices=("central-fd", "complex-step"),
                     default=odesens.DEFAULT_SENS_METHOD.kind)
-    ps.add_argument("--step", type=float, default=None)
+    ps.add_argument("--step", type=float, default=None,
+                    help="central-fd: relative step, default eps**(1/3), at "
+                         "least eps; complex-step: absolute step, default "
+                         "1e-20, at least the smallest normal float")
     ps.add_argument("--format", choices=("csv", "matrixmarket"), default="csv")
     ps.add_argument("--output", required=True)
     ps.add_argument("--sidecar", default=None)

@@ -3,9 +3,10 @@ dynamical system realizing a prescribed sensitivity SVD.
 
 An SVIR state is an array whose first axis is (S, V, I, R); trailing
 axes hold independent trajectories, which :func:`integrate` steps as one.
-Complex-step sensitivities step each trajectory in Python floats instead,
-as (re, im) pairs with complex products written out, so their bits do not
-depend on numpy's runtime SIMD dispatch.
+Complex-step sensitivities step each trajectory on Python complex scalars
+instead: the bits of numpy's complex loops without fused multiply-adds,
+whatever numpy's runtime SIMD dispatch, provided CPython does not fuse its
+complex product either (an x86-64 build without -march does not).
 
 The SVIR right-hand side is implemented exactly as printed in the source
 model: the susceptible equation carries no -nu*S term, so the total
@@ -15,15 +16,16 @@ silently corrected.
 """
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _EPS
 from .errors import InputDomainError, IntegrationFailureError
 from .linalg import SvdFactors
 
-_CBRT_EPS = float(np.finfo(np.float64).eps) ** (1.0 / 3.0)
+_CBRT_EPS = _EPS ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,10 @@ DEFAULT_GRID = TimeGrid.days(31)
 
 @dataclass(frozen=True)
 class SensMethod:
-    """Derivative approximation: 'central-fd' (relative step) or
-    'complex-step' (absolute step)."""
+    """Derivative approximation: 'central-fd' (relative step, at least
+    machine epsilon) or 'complex-step' (absolute step, at least the
+    smallest normal float).  A smaller step cannot resolve a derivative:
+    q_j +- h_j rounds back to q_j, or Im f / h loses bits to underflow."""
 
     kind: str
     step: float
@@ -120,8 +124,10 @@ class SensMethod:
     def __post_init__(self):
         if self.kind not in ("central-fd", "complex-step"):
             raise InputDomainError(f"unknown sensitivity method {self.kind!r}")
-        if not 0 < self.step < np.inf:
-            raise InputDomainError("step must be positive and finite")
+        least = _EPS if self.kind == "central-fd" else float(np.finfo(float).tiny)
+        if not least <= self.step < np.inf:
+            raise InputDomainError(
+                f"{self.kind} step must be finite and at least {least!r}")
 
     @classmethod
     def central_fd(cls, step: float = _CBRT_EPS) -> "SensMethod":
@@ -188,64 +194,42 @@ def integrate(rhs, x0, grid: TimeGrid, substeps: int) -> np.ndarray:
 
 def _complex_step_infectious(q, ic: SvirState, times: list,
                              substeps: int) -> list:
-    # Im I(t) on the grid for one complex parameter vector q, given as the
-    # (re, im) pairs of (beta, nu, alpha, gamma): integrate(svir_rhs) on a
-    # state of (re, im) pairs in Python floats, in the same operation
-    # order.  A complex product is written out as (ar*br - ai*bi,
-    # ar*bi + ai*br), which numpy rounds that way only without fused
-    # multiply-adds; numpy divides a complex by a real N as a multiply by
-    # 1/N; svir_rhs forms alpha*beta first, so it is formed once here.
-    if substeps < 1:
-        raise InputDomainError("substeps must be >= 1")
-    (br, bi), (nr, ni), (ar, ai), (gr, gi) = q
-    abr, abi = ar * br - ai * bi, ar * bi + ai * br
+    # Im I(t) on the grid for one complex parameter vector q: integrate(
+    # svir_rhs) on Python complex scalars, in the same operation order.
+    # numpy divides a complex by a real N as a multiply by 1/N; svir_rhs
+    # forms alpha*beta first, so it is formed once here.
+    beta, nu, alpha, gamma = q
+    ab = alpha * beta
     inv_n = 1.0 / float(ic.n)
 
-    def rhs(sr, si, vr, vi, ir, ii):
-        # d(S, V, I, R)/dt as (re, im) pairs; R does not enter it
-        bir, bii = br * ir - bi * ii, br * ii + bi * ir
-        xsr, xsi = (bir * sr - bii * si) * inv_n, (bir * si + bii * sr) * inv_n
-        abir, abii = abr * ir - abi * ii, abr * ii + abi * ir
-        xvr, xvi = (abir * vr - abii * vi) * inv_n, (abir * vi + abii * vr) * inv_n
-        gir, gii = gr * ir - gi * ii, gr * ii + gi * ir
-        return (-xsr, -xsi,
-                (nr * sr - ni * si) - xvr, (nr * si + ni * sr) - xvi,
-                (xsr + xvr) - gir, (xsi + xvi) - gii,
-                gir, gii)
+    def rhs(s, v, i):
+        # d(S, V, I, R)/dt; R does not enter it
+        xs = beta * i * s * inv_n
+        xv = ab * i * v * inv_n
+        gi = gamma * i
+        return -xs, nu * s - xv, (xs + xv) - gi, gi
 
-    sr, vr, ir, rr = ic.as_array().tolist()
-    si = vi = ii = ri = 0.0
-    isfinite = math.isfinite
-    out = [ii]
+    s, v, i, r = map(complex, ic.as_array().tolist())
+    isfinite = cmath.isfinite
+    out = [0.0]
     for idx in range(len(times) - 1):
         h = (times[idx + 1] - times[idx]) / substeps
         hh, h6 = 0.5 * h, h / 6.0
         t = times[idx]
         for _ in range(substeps):
-            a0, a1, a2, a3, a4, a5, a6, a7 = rhs(sr, si, vr, vi, ir, ii)
-            b0, b1, b2, b3, b4, b5, b6, b7 = rhs(
-                sr + hh * a0, si + hh * a1, vr + hh * a2, vi + hh * a3,
-                ir + hh * a4, ii + hh * a5)
-            c0, c1, c2, c3, c4, c5, c6, c7 = rhs(
-                sr + hh * b0, si + hh * b1, vr + hh * b2, vi + hh * b3,
-                ir + hh * b4, ii + hh * b5)
-            d0, d1, d2, d3, d4, d5, d6, d7 = rhs(
-                sr + h * c0, si + h * c1, vr + h * c2, vi + h * c3,
-                ir + h * c4, ii + h * c5)
-            sr = sr + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
-            si = si + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
-            vr = vr + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
-            vi = vi + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
-            ir = ir + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4)
-            ii = ii + h6 * (((a5 + 2.0 * b5) + 2.0 * c5) + d5)
-            rr = rr + h6 * (((a6 + 2.0 * b6) + 2.0 * c6) + d6)
-            ri = ri + h6 * (((a7 + 2.0 * b7) + 2.0 * c7) + d7)
+            a0, a1, a2, a3 = rhs(s, v, i)
+            b0, b1, b2, b3 = rhs(s + hh * a0, v + hh * a1, i + hh * a2)
+            c0, c1, c2, c3 = rhs(s + hh * b0, v + hh * b1, i + hh * b2)
+            d0, d1, d2, d3 = rhs(s + h * c0, v + h * c1, i + h * c2)
+            s = s + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
+            v = v + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+            i = i + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+            r = r + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
             t = t + h
-            # entry by entry: a sum of finite entries can overflow
-            if not all(map(isfinite, (sr, si, vr, vi, ir, ii, rr, ri))):
+            if not (isfinite(s) and isfinite(v) and isfinite(i) and isfinite(r)):
                 raise IntegrationFailureError(
                     f"non-finite state at t={t:.6g}", time=t)
-        out.append(ii)
+        out.append(i.imag)
     return out
 
 
@@ -258,9 +242,10 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
     central-fd perturbs each parameter by step*max(|q_j|, 1e-8) on both
     sides and integrates the 8 trajectories with :func:`integrate`;
     complex-step evaluates Im f(q + ih e_j)/h with absolute step h, each
-    trajectory through a scalar RK4 in real arithmetic that gives the bits
-    of svir_rhs under integrate on numpy's complex loops without fused
-    multiply-adds, under any SIMD dispatch.  A non-finite state raises
+    trajectory through an RK4 on Python complex scalars.  Where CPython
+    does not fuse its complex product, that gives the bits of svir_rhs
+    under integrate on numpy's complex loops without fused multiply-adds,
+    under any SIMD dispatch.  A non-finite state raises
     IntegrationFailureError at the earliest step any trajectory reaches it.
     Defaults: default_initial_state(), DEFAULT_GRID, DEFAULT_SENS_METHOD.
     """
@@ -269,6 +254,8 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
     method = method or DEFAULT_SENS_METHOD
     if len(grid) < 4:
         raise InputDomainError("sensitivity grid needs at least 4 observations")
+    if substeps < 1:
+        raise InputDomainError("substeps must be >= 1")
     q0 = params.as_array()
     if method.kind == "central-fd":
         # columns q0 + h_j e_j and q0 - h_j e_j, interleaved per parameter
@@ -285,7 +272,7 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
     times = grid.times.tolist()
     columns, failures = [], []
     for j in range(4):
-        q = [(x, h if k == j else 0.0) for k, x in enumerate(q0.tolist())]
+        q = [complex(x, h if k == j else 0.0) for k, x in enumerate(q0.tolist())]
         try:
             columns.append(_complex_step_infectious(q, ic, times, substeps))
         except IntegrationFailureError as exc:

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 # one BLAS thread unless the environment sets another count, set before
 # numpy loads OpenBLAS: a suite that shares the cores with other numpy work
@@ -35,3 +36,27 @@ def caution_matrix():
 def gram_demo_matrix():
     """Nearly dependent columns whose Gram matrix is singular in float64."""
     return np.array([[1.0, 1.0], [1e-9, 0.0], [0.0, 1e-9]])
+
+
+@pytest.fixture
+def numpy_without_avx_env():
+    """Environment for a child process that runs this checkout's cssident
+    with numpy's AVX2/AVX-512 targets turned off: their complex loops round
+    a product like a fused multiply-add.  Targets this process already
+    runs without stay off; NPY_DISABLE_CPU_FEATURES is left unset when
+    neither list names any."""
+    import cssident
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    src = str(Path(cssident.__file__).resolve().parents[1])
+    env = {key: val for key, val in os.environ.items()
+           if not key.startswith("NPY_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    targets = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() + [
+        name for name in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+        if __cpu_features__.get(name)]
+    if targets:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    return env

@@ -455,29 +455,19 @@ class TestEnvironmentIndependence:
         assert outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("method", ("central-fd", "complex-step"))
-    def test_svir_ignores_numpy_simd_dispatch(self, tmp_path, method):
-        # numpy's AVX2/AVX-512 complex loops round a product like a fused
-        # multiply-add; a child process runs with the targets turned off
-        try:
-            from numpy._core._multiarray_umath import __cpu_features__
-        except ImportError:  # numpy < 2
-            from numpy.core._multiarray_umath import __cpu_features__
-        targets = [name for name in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
-                   if __cpu_features__.get(name)]
-        if not targets:
+    def test_svir_ignores_numpy_simd_dispatch(self, tmp_path, method,
+                                              numpy_without_avx_env):
+        # a child process runs with numpy's AVX2/AVX-512 targets turned off
+        if "NPY_DISABLE_CPU_FEATURES" not in numpy_without_avx_env:
             pytest.skip("this CPU has none of the AVX2/AVX-512 targets")
         argv = ["svir", "--method", method, "--days", "10", "--substeps", "20"]
         default = tmp_path / "default.csv"
         assert run_cli(*argv, "--output", str(default)) == 0
-        src = str(Path(cssident.__file__).resolve().parents[1])
-        env = {key: val for key, val in os.environ.items()
-               if not key.startswith("NPY_")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
         baseline = tmp_path / "baseline.csv"
         proc = subprocess.run([sys.executable, "-m", "cssident.cli", *argv,
                                "--output", str(baseline)],
-                              env=env, capture_output=True, text=True)
+                              env=numpy_without_avx_env, capture_output=True,
+                              text=True)
         assert proc.returncode == 0, proc.stderr
         assert baseline.read_bytes() == default.read_bytes()
 
@@ -724,9 +714,12 @@ class TestSvir:
 
     @pytest.mark.parametrize("method", ("central-fd", "complex-step"))
     def test_infinite_step_exits_2(self, tmp_path, capsys, method):
-        assert run_cli("svir", "--method", method, "--step", "inf",
-                       "--output", str(tmp_path / "s.csv")) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # and a step too small to resolve a derivative
+        too_small = {"central-fd": "1e-17", "complex-step": "5e-324"}[method]
+        for step in ("inf", too_small):
+            assert run_cli("svir", "--method", method, "--step", step,
+                           "--output", str(tmp_path / "s.csv")) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("flag, value", (("--beta", "1e300"), ("--step", "1e308")))
     def test_blowup_reports_one_line_and_no_warning(self, tmp_path, capsys, flag, value):

@@ -1,5 +1,6 @@
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from cssident import (
     svir_sensitivity,
     verify_prescribed_sensitivity,
 )
+from cssident.config import _EPS
 from cssident.linalg import SvdFactors
 from cssident.odesens import population_defect, susceptible_integral
 
@@ -159,11 +161,23 @@ class TestPopulationBookkeeping:
 
 
 class TestSensMethod:
-    @pytest.mark.parametrize("kind", ("central-fd", "complex-step"))
-    @pytest.mark.parametrize("step", (0.0, -1e-6, np.inf, np.nan))
+    # positive, finite, and no smaller than machine epsilon (central-fd,
+    # relative) or the smallest normal float (complex-step, absolute)
+    @pytest.mark.parametrize("step, kind", [
+        *((step, kind) for step in (0.0, -1e-6, np.inf, np.nan)
+          for kind in ("central-fd", "complex-step")),
+        (1e-17, "central-fd"), (1e-320, "complex-step"), (5e-324, "complex-step")])
     def test_step_must_be_positive_and_finite(self, kind, step):
         with pytest.raises(InputDomainError):
             SensMethod(kind, step)
+
+    def test_boundary_steps_are_accepted(self):
+        assert SensMethod.central_fd(_EPS).step == _EPS
+        tiny = float(np.finfo(float).tiny)
+        sens = svir_sensitivity(NOMINAL_SVIR, grid=TimeGrid.days(11), substeps=40,
+                                method=SensMethod.complex_step(tiny))
+        ref = svir_sensitivity(NOMINAL_SVIR, grid=TimeGrid.days(11), substeps=40)
+        assert_allclose(sens, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
 
 class TestSvirSensitivity:
@@ -218,19 +232,17 @@ class TestSvirSensitivity:
             # a fused multiply-add, which the scalar kernel does not
             assert np.max(np.abs(sens - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("pool, draws", (("svir20", range(8)),
-                                             ("svir100", range(2))),
-                             ids=("svir20", "svir100"))
-    def test_complex_step_reproduces_the_golden_tables(self, pool, draws):
-        # the benchmark's committed sensitivities, bit for bit; perfbench/
-        # is read, never changed
+    @pytest.mark.parametrize("pool", ("svir20", "svir100"))
+    def test_complex_step_reproduces_the_golden_tables(self, pool):
+        # every committed complex-step sensitivity of the benchmark, bit for
+        # bit; perfbench/ is read, never changed
         table = json.loads((PERFBENCH / "golden" / f"{pool}.json").read_text())
         sys.path.insert(0, str(PERFBENCH))
         try:
             workloads = importlib.import_module("workloads")
         finally:
             sys.path.remove(str(PERFBENCH))
-        moved = [draw for draw in draws
+        moved = [draw for draw in range(table["size"])
                  if not np.array_equal(
                      svir_sensitivity(workloads.svir_params(draw),
                                       substeps=table["substeps"]),
@@ -253,6 +265,56 @@ class TestSvirSensitivity:
                              substeps)
         assert err.value.time == ref.value.time
         assert str(err.value) == str(ref.value)
+
+    # (rates, initial state): zero rates, a zero compartment, a negative
+    # compartment, and a blow-up, whose failure is compared
+    EDGE_CASES = (
+        ((0.0, 0.0, 0.0, 0.0), (99990.0, 0.0, 10.0, 0.0, 1e5)),
+        ((0.8, 0.004, 0.1, 0.14), (0.0, 5e4, 10.0, 0.0, 1e5)),
+        ((0.8, 0.004, 0.1, 0.14), (99990.0, -100.0, 10.0, -3.0, 1e5)),
+        ((1e300, 0.004, 0.1, 0.14), (99990.0, 0.0, 10.0, 0.0, 1e5)),
+    )
+    EDGE_CHILD = """
+import json, sys
+import numpy as np
+from cssident import (IntegrationFailureError, SensMethod, SvirParams, SvirState,
+                      TimeGrid, integrate, svir_rhs, svir_sensitivity)
+
+def numpy_route(params, ic, grid, step, substeps):
+    # the four perturbed trajectories as one complex numpy state
+    qs = np.repeat(params.as_array(complex)[:, None], 4, axis=1)
+    qs[np.diag_indices(4)] += 1j * step
+    x0 = np.repeat(ic.as_array(complex)[:, None], 4, axis=1)
+    traj = integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)
+    return traj[:, 2].imag / step
+
+def kernel(params, ic, grid, step, substeps):
+    return svir_sensitivity(params, ic, grid, SensMethod.complex_step(step),
+                            substeps)
+
+def outcome(route, rates, state):
+    try:
+        sens = route(SvirParams(*rates), SvirState(*state), TimeGrid.days(6),
+                     1e-20, 20)
+    except IntegrationFailureError as exc:
+        return [exc.time, str(exc)]
+    return [x.hex() for x in sens.ravel().tolist()]
+
+print(json.dumps([[outcome(kernel, *case), outcome(numpy_route, *case)]
+                  for case in json.loads(sys.argv[1])]))
+"""
+
+    def test_complex_step_matches_numpy_without_avx_on_edge_inputs(
+            self, numpy_without_avx_env):
+        # numpy's complex loops without AVX2/AVX-512 round each product
+        # unfused, as the scalar kernel does; both run in one child process
+        proc = subprocess.run(
+            [sys.executable, "-c", self.EDGE_CHILD, json.dumps(self.EDGE_CASES)],
+            env=numpy_without_avx_env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert [kern == ref for kern, ref in results] == [True] * len(self.EDGE_CASES)
+        assert results[-1][0][1].startswith("non-finite state at t=")
 
     def test_gap_policy_selects_three(self):
         sens = svir_sensitivity(NOMINAL_SVIR)
