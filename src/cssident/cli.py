@@ -19,7 +19,6 @@ from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import bench as bench_mod
@@ -54,7 +53,10 @@ def load_schema(name: str) -> dict:
 @functools.cache
 def schema_validator(name: str):
     # built once per process: the schema is checked against its metaschema
-    # here, not on every request as jsonschema.validate would
+    # here, not on every request as jsonschema.validate would.  jsonschema
+    # is imported on first use, so only the commands that validate load it.
+    import jsonschema
+
     schema = load_schema(name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -140,6 +142,8 @@ def cmd_bench(args) -> int:
         raw = json.loads(Path(args.spec).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputDomainError(f"cannot read bench spec: {exc}") from exc
+    import jsonschema
+
     validator = schema_validator("bench_spec.schema.json")
     # jsonschema.validate's choice of error among several, without its
     # per-call metaschema check

@@ -3,10 +3,12 @@ dynamical system realizing a prescribed sensitivity SVD.
 
 An SVIR state is an array whose first axis is (S, V, I, R); trailing
 axes hold independent trajectories, which :func:`integrate` steps as one.
-Complex-step sensitivities step each trajectory on Python complex scalars
-instead: the bits of numpy's complex loops without fused multiply-adds,
-whatever numpy's runtime SIMD dispatch, provided CPython does not fuse its
-complex product either (an x86-64 build without -march does not).
+Sensitivities step each perturbed trajectory on Python scalars instead,
+through one RK4 loop: floats for central-fd, which give the bits of
+numpy's real loops, and complex numbers for complex-step, which give those
+of numpy's complex loops without fused multiply-adds, whatever numpy's
+runtime SIMD dispatch, provided CPython does not fuse its complex product
+either (an x86-64 build without -march does not).
 
 The SVIR right-hand side is implemented exactly as printed in the source
 model: the susceptible equation carries no -nu*S term, so the total
@@ -17,6 +19,7 @@ silently corrected.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +119,13 @@ class SensMethod:
     """Derivative approximation: 'central-fd' (relative step, at least
     machine epsilon) or 'complex-step' (absolute step, at least the
     smallest normal float).  A smaller step cannot resolve a derivative:
-    q_j +- h_j rounds back to q_j, or Im f / h loses bits to underflow."""
+    q_j +- h_j rounds back to q_j, or Im f / h loses bits to underflow.
+
+    The floor promises no more than that.  A central-fd step of at least
+    eps keeps q_j +- h_j apart, but I(t) need not resolve the
+    perturbation: at step 2.220446049250313e-16 the nu and alpha columns
+    of the nominal SVIR sensitivity are exactly zero, and srrqr then marks
+    nu unidentifiable along with alpha."""
 
     kind: str
     step: float
@@ -192,31 +201,44 @@ def integrate(rhs, x0, grid: TimeGrid, substeps: int) -> np.ndarray:
     return out
 
 
-def _complex_step_infectious(q, ic: SvirState, times: list,
-                             substeps: int) -> list:
-    # Im I(t) on the grid for one complex parameter vector q: integrate(
-    # svir_rhs) on Python complex scalars, in the same operation order.
-    # numpy divides a complex by a real N as a multiply by 1/N; svir_rhs
-    # forms alpha*beta first, so it is formed once here.
+def _scalar_rhs(q: list, n_total: float):
+    # svir_rhs's d(S, V, I, R)/dt on Python scalars, in its operation order,
+    # alpha*beta formed first; R does not enter it.  numpy's real loops
+    # divide by N, its complex loops multiply by 1/N.
     beta, nu, alpha, gamma = q
     ab = alpha * beta
-    inv_n = 1.0 / float(ic.n)
+    if isinstance(beta, complex):
+        inv_n = 1.0 / n_total
 
-    def rhs(s, v, i):
-        # d(S, V, I, R)/dt; R does not enter it
-        xs = beta * i * s * inv_n
-        xv = ab * i * v * inv_n
-        gi = gamma * i
-        return -xs, nu * s - xv, (xs + xv) - gi, gi
+        def rhs(s, v, i):
+            xs = beta * i * s * inv_n
+            xv = ab * i * v * inv_n
+            gi = gamma * i
+            return -xs, nu * s - xv, (xs + xv) - gi, gi
+    else:
+        def rhs(s, v, i):
+            xs = beta * i * s / n_total
+            xv = ab * i * v / n_total
+            gi = gamma * i
+            return -xs, nu * s - xv, (xs + xv) - gi, gi
+    return rhs
 
-    s, v, i, r = map(complex, ic.as_array().tolist())
-    isfinite = cmath.isfinite
-    out = [0.0]
+
+def _infectious(q: list, ic: SvirState, times: list, substeps: int):
+    # I(t) on the grid for one parameter vector q of Python floats or
+    # complex numbers: integrate(svir_rhs) on scalars, step for step.
+    # Returns (I values, None), or (I values so far, (idx, k, t)) for the
+    # first step k of grid interval idx that leaves a state non-finite.
+    rhs = _scalar_rhs(q, float(ic.n))
+    scalar = complex if isinstance(q[0], complex) else float
+    isfinite = cmath.isfinite if scalar is complex else math.isfinite
+    s, v, i, r = map(scalar, ic.as_array().tolist())
+    out = [i]
     for idx in range(len(times) - 1):
         h = (times[idx + 1] - times[idx]) / substeps
         hh, h6 = 0.5 * h, h / 6.0
         t = times[idx]
-        for _ in range(substeps):
+        for k in range(substeps):
             a0, a1, a2, a3 = rhs(s, v, i)
             b0, b1, b2, b3 = rhs(s + hh * a0, v + hh * a1, i + hh * a2)
             c0, c1, c2, c3 = rhs(s + hh * b0, v + hh * b1, i + hh * b2)
@@ -227,10 +249,9 @@ def _complex_step_infectious(q, ic: SvirState, times: list,
             r = r + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
             t = t + h
             if not (isfinite(s) and isfinite(v) and isfinite(i) and isfinite(r)):
-                raise IntegrationFailureError(
-                    f"non-finite state at t={t:.6g}", time=t)
-        out.append(i.imag)
-    return out
+                return out, (idx, k, t)
+        out.append(i)
+    return out, None
 
 
 def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
@@ -240,13 +261,15 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
     """n x 4 sensitivity of I(t_i) to (beta, nu, alpha, gamma).
 
     central-fd perturbs each parameter by step*max(|q_j|, 1e-8) on both
-    sides and integrates the 8 trajectories with :func:`integrate`;
-    complex-step evaluates Im f(q + ih e_j)/h with absolute step h, each
-    trajectory through an RK4 on Python complex scalars.  Where CPython
-    does not fuse its complex product, that gives the bits of svir_rhs
-    under integrate on numpy's complex loops without fused multiply-adds,
+    sides; complex-step evaluates Im f(q + ih e_j)/h with absolute step h.
+    Each perturbed trajectory runs through one RK4 on Python scalars,
+    floats for central-fd and complex numbers for complex-step, in the
+    operation order of svir_rhs under integrate.  That gives the bits of
+    numpy's real loops, and, where CPython does not fuse its complex
+    product, those of numpy's complex loops without fused multiply-adds,
     under any SIMD dispatch.  A non-finite state raises
-    IntegrationFailureError at the earliest step any trajectory reaches it.
+    IntegrationFailureError at the earliest step any trajectory reaches
+    it, as one batched numpy state would.
     Defaults: default_initial_state(), DEFAULT_GRID, DEFAULT_SENS_METHOD.
     """
     ic = ic or default_initial_state()
@@ -258,29 +281,29 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
         raise InputDomainError("substeps must be >= 1")
     q0 = params.as_array()
     if method.kind == "central-fd":
-        # columns q0 + h_j e_j and q0 - h_j e_j, interleaved per parameter
+        # vectors q0 + h_j e_j and q0 - h_j e_j, interleaved per parameter
         h = method.step * np.maximum(np.abs(q0), 1e-8)
         j = np.arange(4)
         qs = np.repeat(q0[:, None], 8, axis=1)
         qs[j, 2 * j] += h
         qs[j, 2 * j + 1] -= h
-        # the 8 perturbed trajectories as one 4 x 8 state
-        x0 = np.repeat(ic.as_array()[:, None], 8, axis=1)
-        f = integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)[:, 2]
-        return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)
-    h = float(method.step)
+        vectors = qs.T.tolist()
+    else:
+        h = float(method.step)
+        # vectors q0 + ih e_j
+        vectors = [[complex(x, h if k == j else 0.0)
+                    for k, x in enumerate(q0.tolist())] for j in range(4)]
     times = grid.times.tolist()
-    columns, failures = [], []
-    for j in range(4):
-        q = [complex(x, h if k == j else 0.0) for k, x in enumerate(q0.tolist())]
-        try:
-            columns.append(_complex_step_infectious(q, ic, times, substeps))
-        except IntegrationFailureError as exc:
-            failures.append(exc)
+    runs = [_infectious(q, ic, times, substeps) for q in vectors]
+    failures = [failure for _, failure in runs if failure is not None]
     if failures:
-        # the earliest failure, which is what one batched state reports
-        raise min(failures, key=lambda exc: exc.time)
-    return np.array(columns).T / h
+        # the earliest failing step, which is what one batched state reports
+        _, _, t = min(failures)
+        raise IntegrationFailureError(f"non-finite state at t={t:.6g}", time=t)
+    f = np.array([out for out, _ in runs]).T
+    if method.kind == "central-fd":
+        return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)
+    return f.imag / h
 
 
 def population_defect(params: SvirParams, ic: SvirState, grid: TimeGrid,

@@ -476,6 +476,19 @@ SCHEMA_FILES = sorted(path.name for path in resources.files("cssident.schemas").
                       if path.name.endswith(".schema.json"))
 
 
+def test_importing_the_cli_does_not_load_jsonschema():
+    # only bench validates against a schema, so only it imports jsonschema
+    src = str(Path(cssident.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cssident.cli; print('jsonschema' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_seven_schemas_ship():
     assert len(SCHEMA_FILES) == 7
 

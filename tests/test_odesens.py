@@ -232,10 +232,13 @@ class TestSvirSensitivity:
             # a fused multiply-add, which the scalar kernel does not
             assert np.max(np.abs(sens - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("method", (SensMethod.central_fd(),
+                                        SensMethod.complex_step()),
+                             ids=lambda method: method.kind)
     @pytest.mark.parametrize("pool", ("svir20", "svir100"))
-    def test_complex_step_reproduces_the_golden_tables(self, pool):
-        # every committed complex-step sensitivity of the benchmark, bit for
-        # bit; perfbench/ is read, never changed
+    def test_reproduces_the_golden_tables(self, pool, method):
+        # every committed sensitivity of the benchmark, bit for bit;
+        # perfbench/ is read, never changed
         table = json.loads((PERFBENCH / "golden" / f"{pool}.json").read_text())
         sys.path.insert(0, str(PERFBENCH))
         try:
@@ -244,34 +247,59 @@ class TestSvirSensitivity:
             sys.path.remove(str(PERFBENCH))
         moved = [draw for draw in range(table["size"])
                  if not np.array_equal(
-                     svir_sensitivity(workloads.svir_params(draw),
+                     svir_sensitivity(workloads.svir_params(draw), method=method,
                                       substeps=table["substeps"]),
-                     np.array(table["sens"][f"{draw}/complex-step"]))]
+                     np.array(table["sens"][f"{draw}/{method.kind}"]))]
         assert moved == []
 
-    @pytest.mark.parametrize("params, step", ((SvirParams(beta=1e300), 1e-20),
-                                              (NOMINAL_SVIR, 1e308)))
-    def test_complex_step_failure_time_matches_the_batched_state(self, params, step):
-        # reference: the four perturbed trajectories as one complex numpy
-        # state through integrate, which stops at the first non-finite step
+    @staticmethod
+    def _batched_state(params, ic, grid, method, substeps):
+        # reference: the perturbed trajectories as one numpy state through
+        # integrate(svir_rhs), which stops at the first non-finite step;
+        # central-fd's is 4 x 8 and real, complex-step's 4 x 4 and complex
+        q0 = params.as_array()
+        if method.kind == "central-fd":
+            h = method.step * np.maximum(np.abs(q0), 1e-8)
+            j = np.arange(4)
+            qs = np.repeat(q0[:, None], 8, axis=1)
+            qs[j, 2 * j] += h
+            qs[j, 2 * j + 1] -= h
+        else:
+            qs = np.repeat(q0.astype(complex)[:, None], 4, axis=1)
+            qs[np.diag_indices(4)] += 1j * method.step
+        x0 = np.repeat(ic.as_array(qs.dtype)[:, None], qs.shape[1], axis=1)
+        f = integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)[:, 2]
+        if method.kind == "central-fd":
+            return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)
+        return f.imag / method.step
+
+    @pytest.mark.parametrize("params, method", (
+        (SvirParams(beta=1e300), SensMethod.central_fd()),
+        (NOMINAL_SVIR, SensMethod.central_fd(1e300)),
+        (SvirParams(beta=500.0), SensMethod.central_fd(0.5)),
+        (SvirParams(beta=1e300), SensMethod.complex_step()),
+        (NOMINAL_SVIR, SensMethod.complex_step(1e308))),
+        ids=("beta-central-fd", "step-central-fd", "staggered-central-fd",
+             "beta-complex-step", "step-complex-step"))
+    def test_failure_matches_the_batched_state(self, params, method):
+        # in the staggered case beta + h_1 fails at t=0.05, six trajectories
+        # at 0.1, gamma - h_4 at 0.98 and beta - h_1 never
         ic, grid, substeps = default_initial_state(), TimeGrid.days(5), 100
-        qs = np.repeat(params.as_array(complex)[:, None], 4, axis=1)
-        qs[np.diag_indices(4)] += 1j * step
-        x0 = np.repeat(ic.as_array(complex)[:, None], 4, axis=1)
         with pytest.raises(IntegrationFailureError) as ref:
-            integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)
+            self._batched_state(params, ic, grid, method, substeps)
         with pytest.raises(IntegrationFailureError) as err:
-            svir_sensitivity(params, ic, grid, SensMethod.complex_step(step),
-                             substeps)
+            svir_sensitivity(params, ic, grid, method, substeps)
         assert err.value.time == ref.value.time
         assert str(err.value) == str(ref.value)
 
     # (rates, initial state): zero rates, a zero compartment, a negative
-    # compartment, and a blow-up, whose failure is compared
+    # compartment, an R at the top of the double range that overflows
+    # while S, V and I stay finite, and a blow-up; failures are compared
     EDGE_CASES = (
         ((0.0, 0.0, 0.0, 0.0), (99990.0, 0.0, 10.0, 0.0, 1e5)),
         ((0.8, 0.004, 0.1, 0.14), (0.0, 5e4, 10.0, 0.0, 1e5)),
         ((0.8, 0.004, 0.1, 0.14), (99990.0, -100.0, 10.0, -3.0, 1e5)),
+        ((0.8, 0.004, 0.1, 1.0), (0.0, 0.0, 1e294, 1.7976931348623157e308, 1e5)),
         ((1e300, 0.004, 0.1, 0.14), (99990.0, 0.0, 10.0, 0.0, 1e5)),
     )
     EDGE_CHILD = """
@@ -313,6 +341,22 @@ print(json.dumps([[outcome(kernel, *case), outcome(numpy_route, *case)]
             env=numpy_without_avx_env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         results = json.loads(proc.stdout)
+        assert [kern == ref for kern, ref in results] == [True] * len(self.EDGE_CASES)
+        assert results[-1][0][1].startswith("non-finite state at t=")
+
+    def test_central_fd_matches_the_batched_state_on_edge_inputs(self):
+        # numpy's real loops do not fuse, whatever its SIMD dispatch, so the
+        # batched real state runs in this process
+        def outcome(route, rates, state):
+            try:
+                sens = route(SvirParams(*rates), SvirState(*state),
+                             TimeGrid.days(6), SensMethod.central_fd(), 20)
+            except IntegrationFailureError as exc:
+                return exc.time, str(exc)
+            return sens.tobytes()
+
+        results = [(outcome(svir_sensitivity, *case),
+                    outcome(self._batched_state, *case)) for case in self.EDGE_CASES]
         assert [kern == ref for kern, ref in results] == [True] * len(self.EDGE_CASES)
         assert results[-1][0][1].startswith("non-finite state at t=")
 
