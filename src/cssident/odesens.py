@@ -4,11 +4,14 @@ dynamical system realizing a prescribed sensitivity SVD.
 An SVIR state is an array whose first axis is (S, V, I, R); trailing
 axes hold independent trajectories, which :func:`integrate` steps as one.
 Sensitivities step each perturbed trajectory on Python scalars instead,
-through one RK4 loop: floats for central-fd, which give the bits of
+one observation interval per call of an RK4 kernel with the right-hand
+side written out inline: floats for central-fd, which give the bits of
 numpy's real loops, and complex numbers for complex-step, which give those
 of numpy's complex loops without fused multiply-adds, whatever numpy's
 runtime SIMD dispatch, provided CPython does not fuse its complex product
-either (an x86-64 build without -march does not).
+either (an x86-64 build without -march does not).  Finiteness is checked
+once per observation interval; an interval that fails is replayed one
+step at a time, so a failure names the same step as a per-step check.
 
 The SVIR right-hand side is implemented exactly as printed in the source
 model: the susceptible equation carries no -nu*S term, so the total
@@ -201,27 +204,102 @@ def integrate(rhs, x0, grid: TimeGrid, substeps: int) -> np.ndarray:
     return out
 
 
-def _scalar_rhs(q: list, n_total: float):
-    # svir_rhs's d(S, V, I, R)/dt on Python scalars, in its operation order,
-    # alpha*beta formed first; R does not enter it.  numpy's real loops
-    # divide by N, its complex loops multiply by 1/N.
-    beta, nu, alpha, gamma = q
-    ab = alpha * beta
-    if isinstance(beta, complex):
-        inv_n = 1.0 / n_total
+def _rk4_real(s, v, i, r, beta, nu, ab, gamma, n_total, h, substeps):
+    # substeps RK4 steps of svir_rhs on floats from (s, v, i, r), in
+    # integrate's and svir_rhs's operation order with alpha*beta = ab formed
+    # first and no call inside the loop; numpy's real loops divide by N.
+    # dS/dt is -x with x = beta*I*S/N; a float x + (-y) is x - y bit for
+    # bit, so the S stages subtract x instead of adding -x
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for _ in range(substeps):
+        xa = beta * i * s / n_total
+        xv = ab * i * v / n_total
+        a3 = gamma * i
+        a1 = nu * s - xv
+        a2 = (xa + xv) - a3
+        s1 = s - hh * xa
+        v1 = v + hh * a1
+        i1 = i + hh * a2
+        xb = beta * i1 * s1 / n_total
+        xv = ab * i1 * v1 / n_total
+        b3 = gamma * i1
+        b1 = nu * s1 - xv
+        b2 = (xb + xv) - b3
+        s1 = s - hh * xb
+        v1 = v + hh * b1
+        i1 = i + hh * b2
+        xc = beta * i1 * s1 / n_total
+        xv = ab * i1 * v1 / n_total
+        c3 = gamma * i1
+        c1 = nu * s1 - xv
+        c2 = (xc + xv) - c3
+        s1 = s - h * xc
+        v1 = v + h * c1
+        i1 = i + h * c2
+        xd = beta * i1 * s1 / n_total
+        xv = ab * i1 * v1 / n_total
+        d3 = gamma * i1
+        d1 = nu * s1 - xv
+        d2 = (xd + xv) - d3
+        s = s + h6 * (((-xa - 2.0 * xb) - 2.0 * xc) - xd)
+        v = v + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+        i = i + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+        r = r + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+    return s, v, i, r
 
-        def rhs(s, v, i):
-            xs = beta * i * s * inv_n
-            xv = ab * i * v * inv_n
-            gi = gamma * i
-            return -xs, nu * s - xv, (xs + xv) - gi, gi
-    else:
-        def rhs(s, v, i):
-            xs = beta * i * s / n_total
-            xv = ab * i * v / n_total
-            gi = gamma * i
-            return -xs, nu * s - xv, (xs + xv) - gi, gi
-    return rhs
+
+def _rk4_complex(s, v, i, r, beta, nu, ab, gamma, n_total, h, substeps):
+    # _rk4_real on complex numbers, with dS/dt = -x as svir_rhs forms it:
+    # for complex numbers x + (-y) and x - y can differ in the sign of a
+    # zero.  numpy's complex loops multiply by 1/N and promote each real
+    # factor to a complex one with zero imaginary part; the constants are
+    # promoted here once, which also spares CPython the float product it
+    # tries first
+    hh = complex(0.5 * h)
+    h6 = complex(h / 6.0)
+    hc = complex(h)
+    two = complex(2.0)
+    inv_n = complex(1.0 / n_total)
+    for _ in range(substeps):
+        xs = beta * i * s * inv_n
+        xv = ab * i * v * inv_n
+        a3 = gamma * i
+        a0 = -xs
+        a1 = nu * s - xv
+        a2 = (xs + xv) - a3
+        s1 = s + hh * a0
+        v1 = v + hh * a1
+        i1 = i + hh * a2
+        xs = beta * i1 * s1 * inv_n
+        xv = ab * i1 * v1 * inv_n
+        b3 = gamma * i1
+        b0 = -xs
+        b1 = nu * s1 - xv
+        b2 = (xs + xv) - b3
+        s1 = s + hh * b0
+        v1 = v + hh * b1
+        i1 = i + hh * b2
+        xs = beta * i1 * s1 * inv_n
+        xv = ab * i1 * v1 * inv_n
+        c3 = gamma * i1
+        c0 = -xs
+        c1 = nu * s1 - xv
+        c2 = (xs + xv) - c3
+        s1 = s + hc * c0
+        v1 = v + hc * c1
+        i1 = i + hc * c2
+        xs = beta * i1 * s1 * inv_n
+        xv = ab * i1 * v1 * inv_n
+        d3 = gamma * i1
+        d0 = -xs
+        d1 = nu * s1 - xv
+        d2 = (xs + xv) - d3
+        s = s + h6 * (((a0 + two * b0) + two * c0) + d0)
+        v = v + h6 * (((a1 + two * b1) + two * c1) + d1)
+        i = i + h6 * (((a2 + two * b2) + two * c2) + d2)
+        r = r + h6 * (((a3 + two * b3) + two * c3) + d3)
+    return s, v, i, r
 
 
 def _infectious(q: list, ic: SvirState, times: list, substeps: int):
@@ -229,28 +307,29 @@ def _infectious(q: list, ic: SvirState, times: list, substeps: int):
     # complex numbers: integrate(svir_rhs) on scalars, step for step.
     # Returns (I values, None), or (I values so far, (idx, k, t)) for the
     # first step k of grid interval idx that leaves a state non-finite.
-    rhs = _scalar_rhs(q, float(ic.n))
-    scalar = complex if isinstance(q[0], complex) else float
-    isfinite = cmath.isfinite if scalar is complex else math.isfinite
-    s, v, i, r = map(scalar, ic.as_array().tolist())
-    out = [i]
+    # A state changes only by x = x + ..., so once non-finite it stays so:
+    # the check after each interval fires exactly when a step inside it
+    # failed, and that interval is then replayed one step at a time.
+    beta, nu, alpha, gamma = q
+    if isinstance(beta, complex):
+        rk4, isfinite, scalar = _rk4_complex, cmath.isfinite, complex
+    else:
+        rk4, isfinite, scalar = _rk4_real, math.isfinite, float
+    ab, n_total = alpha * beta, float(ic.n)
+    x = tuple(map(scalar, ic.as_array().tolist()))
+    out = [x[2]]
     for idx in range(len(times) - 1):
         h = (times[idx + 1] - times[idx]) / substeps
-        hh, h6 = 0.5 * h, h / 6.0
-        t = times[idx]
-        for k in range(substeps):
-            a0, a1, a2, a3 = rhs(s, v, i)
-            b0, b1, b2, b3 = rhs(s + hh * a0, v + hh * a1, i + hh * a2)
-            c0, c1, c2, c3 = rhs(s + hh * b0, v + hh * b1, i + hh * b2)
-            d0, d1, d2, d3 = rhs(s + h * c0, v + h * c1, i + h * c2)
-            s = s + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
-            v = v + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
-            i = i + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
-            r = r + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
-            t = t + h
-            if not (isfinite(s) and isfinite(v) and isfinite(i) and isfinite(r)):
-                return out, (idx, k, t)
-        out.append(i)
+        end = rk4(*x, beta, nu, ab, gamma, n_total, h, substeps)
+        if not all(map(isfinite, end)):
+            t = times[idx]
+            for k in range(substeps):
+                x = rk4(*x, beta, nu, ab, gamma, n_total, h, 1)
+                t = t + h
+                if not all(map(isfinite, x)):
+                    return out, (idx, k, t)
+        x = end
+        out.append(x[2])
     return out, None
 
 
@@ -260,16 +339,19 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
                      substeps: int = SVIR_SUBSTEPS) -> np.ndarray:
     """n x 4 sensitivity of I(t_i) to (beta, nu, alpha, gamma).
 
-    central-fd perturbs each parameter by step*max(|q_j|, 1e-8) on both
-    sides; complex-step evaluates Im f(q + ih e_j)/h with absolute step h.
+    central-fd perturbs each parameter by h_j = step*max(|q_j|, 1e-8) on
+    both sides, and raises InputDomainError if h_j or q_j +- h_j is not
+    finite; complex-step evaluates Im f(q + ih e_j)/h with absolute step h.
     Each perturbed trajectory runs through one RK4 on Python scalars,
     floats for central-fd and complex numbers for complex-step, in the
     operation order of svir_rhs under integrate.  That gives the bits of
     numpy's real loops, and, where CPython does not fuse its complex
     product, those of numpy's complex loops without fused multiply-adds,
-    under any SIMD dispatch.  A non-finite state raises
-    IntegrationFailureError at the earliest step any trajectory reaches
-    it, as one batched numpy state would.
+    under any SIMD dispatch.  The states are checked for finiteness at the
+    end of each observation interval, and a failed interval is replayed
+    step by step: a non-finite state raises IntegrationFailureError at the
+    earliest step any trajectory reaches it, as one batched numpy state
+    would.
     Defaults: default_initial_state(), DEFAULT_GRID, DEFAULT_SENS_METHOD.
     """
     ic = ic or default_initial_state()
@@ -281,12 +363,20 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
         raise InputDomainError("substeps must be >= 1")
     q0 = params.as_array()
     if method.kind == "central-fd":
-        # vectors q0 + h_j e_j and q0 - h_j e_j, interleaved per parameter
-        h = method.step * np.maximum(np.abs(q0), 1e-8)
+        # vectors q0 + h_j e_j and q0 - h_j e_j, interleaved per parameter;
+        # an overflow is rejected below, not reported as a numpy warning
         j = np.arange(4)
         qs = np.repeat(q0[:, None], 8, axis=1)
-        qs[j, 2 * j] += h
-        qs[j, 2 * j + 1] -= h
+        with np.errstate(over="ignore"):
+            h = method.step * np.maximum(np.abs(q0), 1e-8)
+            qs[j, 2 * j] += h
+            qs[j, 2 * j + 1] -= h
+        # q0 is finite, so an infinite h_j leaves q_j +- h_j infinite too
+        for name, plus, minus in zip(PARAM_NAMES, qs[j, 2 * j], qs[j, 2 * j + 1]):
+            if not (math.isfinite(plus) and math.isfinite(minus)):
+                raise InputDomainError(
+                    f"central-fd step {method.step!r} takes {name} +- h "
+                    "out of the double range")
         vectors = qs.T.tolist()
     else:
         h = float(method.step)

@@ -746,6 +746,20 @@ class TestSvir:
         assert len(lines) == 1
         assert lines[0].startswith("numerical failure: non-finite state at t=")
 
+    @pytest.mark.parametrize("beta, step", (("1e300", "1e300"), ("1e308", "1")))
+    def test_central_fd_perturbation_overflow_exits_2(self, tmp_path, capsys,
+                                                      beta, step):
+        # h_j overflows in the product, or beta + h_j in the sum
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("svir", "--method", "central-fd", "--beta", beta,
+                           "--step", step, "--output", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: central-fd step {float(step)!r} takes beta +- h "
+            "out of the double range"]
+
     @pytest.mark.parametrize("method", ("central-fd", "complex-step"))
     def test_zero_substeps_exits_2(self, tmp_path, capsys, method):
         assert run_cli("svir", "--method", method, "--substeps", "0",

@@ -284,6 +284,10 @@ class TestSvirSensitivity:
     def test_failure_matches_the_batched_state(self, params, method):
         # in the staggered case beta + h_1 fails at t=0.05, six trajectories
         # at 0.1, gamma - h_4 at 0.98 and beta - h_1 never
+        self._assert_failure_matches(params, method)
+
+    def _assert_failure_matches(self, params, method):
+        # same failure time and message as the batched state; returns the time
         ic, grid, substeps = default_initial_state(), TimeGrid.days(5), 100
         with pytest.raises(IntegrationFailureError) as ref:
             self._batched_state(params, ic, grid, method, substeps)
@@ -291,16 +295,41 @@ class TestSvirSensitivity:
             svir_sensitivity(params, ic, grid, method, substeps)
         assert err.value.time == ref.value.time
         assert str(err.value) == str(ref.value)
+        return ref.value.time
 
-    # (rates, initial state): zero rates, a zero compartment, a negative
-    # compartment, an R at the top of the double range that overflows
-    # while S, V and I stay finite, and a blow-up; failures are compared
+    @pytest.mark.parametrize("method", (SensMethod.central_fd(),
+                                        SensMethod.complex_step()),
+                             ids=lambda method: method.kind)
+    def test_failure_inside_a_later_interval_matches_the_batched_state(self, method):
+        # gamma = 285 puts the RK4 step just past its stability edge, so
+        # the state overflows at t=1.84: interval 1, step 83 of 100, which
+        # the kernel finds by replaying interval 1 one step at a time
+        time = self._assert_failure_matches(SvirParams(gamma=285.0), method)
+        assert 1.0 < time < 2.0 and 0.015 < time % 1.0 < 0.985
+
+    def test_central_fd_perturbation_out_of_the_double_range_is_an_input_error(self):
+        # h_j overflows in the product, or q_j + h_j in the sum; either is
+        # rejected before any numpy overflow warning (an error under pytest)
+        for beta, step in ((1e300, 1e300), (1e308, 1.0)):
+            with pytest.raises(InputDomainError, match="takes beta "):
+                svir_sensitivity(SvirParams(beta=beta), method=SensMethod.central_fd(step))
+
+    # (rates, initial state, grid times, substeps): zero rates, a zero
+    # compartment, a negative compartment, an R at the top of the double
+    # range that overflows while S, V and I stay finite, the nominal model
+    # on a grid of uneven intervals (each stepped with its own h) at one
+    # and seven substeps, and a blow-up; failures are compared
+    DAYS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+    UNEVEN = (0.0, 0.5, 2.0, 2.25, 7.0)
     EDGE_CASES = (
-        ((0.0, 0.0, 0.0, 0.0), (99990.0, 0.0, 10.0, 0.0, 1e5)),
-        ((0.8, 0.004, 0.1, 0.14), (0.0, 5e4, 10.0, 0.0, 1e5)),
-        ((0.8, 0.004, 0.1, 0.14), (99990.0, -100.0, 10.0, -3.0, 1e5)),
-        ((0.8, 0.004, 0.1, 1.0), (0.0, 0.0, 1e294, 1.7976931348623157e308, 1e5)),
-        ((1e300, 0.004, 0.1, 0.14), (99990.0, 0.0, 10.0, 0.0, 1e5)),
+        ((0.0, 0.0, 0.0, 0.0), (99990.0, 0.0, 10.0, 0.0, 1e5), DAYS, 20),
+        ((0.8, 0.004, 0.1, 0.14), (0.0, 5e4, 10.0, 0.0, 1e5), DAYS, 20),
+        ((0.8, 0.004, 0.1, 0.14), (99990.0, -100.0, 10.0, -3.0, 1e5), DAYS, 20),
+        ((0.8, 0.004, 0.1, 1.0), (0.0, 0.0, 1e294, 1.7976931348623157e308, 1e5),
+         DAYS, 20),
+        ((0.8, 0.004, 0.1, 0.14), (99990.0, 0.0, 10.0, 0.0, 1e5), UNEVEN, 1),
+        ((0.8, 0.004, 0.1, 0.14), (99990.0, 0.0, 10.0, 0.0, 1e5), UNEVEN, 7),
+        ((1e300, 0.004, 0.1, 0.14), (99990.0, 0.0, 10.0, 0.0, 1e5), DAYS, 20),
     )
     EDGE_CHILD = """
 import json, sys
@@ -320,10 +349,10 @@ def kernel(params, ic, grid, step, substeps):
     return svir_sensitivity(params, ic, grid, SensMethod.complex_step(step),
                             substeps)
 
-def outcome(route, rates, state):
+def outcome(route, rates, state, times, substeps):
     try:
-        sens = route(SvirParams(*rates), SvirState(*state), TimeGrid.days(6),
-                     1e-20, 20)
+        sens = route(SvirParams(*rates), SvirState(*state),
+                     TimeGrid(np.array(times)), 1e-20, substeps)
     except IntegrationFailureError as exc:
         return [exc.time, str(exc)]
     return [x.hex() for x in sens.ravel().tolist()]
@@ -347,10 +376,11 @@ print(json.dumps([[outcome(kernel, *case), outcome(numpy_route, *case)]
     def test_central_fd_matches_the_batched_state_on_edge_inputs(self):
         # numpy's real loops do not fuse, whatever its SIMD dispatch, so the
         # batched real state runs in this process
-        def outcome(route, rates, state):
+        def outcome(route, rates, state, times, substeps):
             try:
                 sens = route(SvirParams(*rates), SvirState(*state),
-                             TimeGrid.days(6), SensMethod.central_fd(), 20)
+                             TimeGrid(np.array(times)), SensMethod.central_fd(),
+                             substeps)
             except IntegrationFailureError as exc:
                 return exc.time, str(exc)
             return sens.tobytes()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cssident import SensMethod, TimeGrid, css, odesens
+from cssident import IntegrationFailureError, SensMethod, TimeGrid, css, odesens
 from cssident.bench import realize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,7 +65,8 @@ def test_selections_call_the_traced_qr_bindings(monkeypatch):
 def test_no_svir_method_integrates_through_the_traced_binding(monkeypatch):
     # the tracer counts odesens.integrate calls, RK4 steps and rhs evaluations
     # through the module binding; both methods run their own scalar RK4, so
-    # those counts read 0 on the SVIR path
+    # those counts read 0 on the SVIR path, also where an interval fails and
+    # is replayed step by step (gamma = 285 overflows in interval 1)
     calls, integrate = [], odesens.integrate
 
     def counting(*args, **kwargs):
@@ -76,4 +77,7 @@ def test_no_svir_method_integrates_through_the_traced_binding(monkeypatch):
     for method in (SensMethod.central_fd(), SensMethod.complex_step()):
         odesens.svir_sensitivity(odesens.NOMINAL_SVIR, None, TimeGrid.days(5),
                                  method, 4)
+        with pytest.raises(IntegrationFailureError):
+            odesens.svir_sensitivity(odesens.SvirParams(gamma=285.0), None,
+                                     TimeGrid.days(5), method, 100)
         assert calls == [], method.kind
