@@ -4,14 +4,18 @@ dynamical system realizing a prescribed sensitivity SVD.
 An SVIR state is an array whose first axis is (S, V, I, R); trailing
 axes hold independent trajectories, which :func:`integrate` steps as one.
 Sensitivities step each perturbed trajectory on Python scalars instead,
-one observation interval per call of an RK4 kernel with the right-hand
-side written out inline: floats for central-fd, which give the bits of
-numpy's real loops, and complex numbers for complex-step, which give those
-of numpy's complex loops without fused multiply-adds, whatever numpy's
-runtime SIMD dispatch, provided CPython does not fuse its complex product
-either (an x86-64 build without -march does not).  Finiteness is checked
-once per observation interval; an interval that fails is replayed one
-step at a time, so a failure names the same step as a per-step check.
+in the operation order of :func:`svir_rhs` under :func:`integrate`, one
+observation interval per call of an RK4 kernel with the right-hand side
+written out inline.  Central-fd runs on floats and divides by N, which
+gives the bits of numpy's real loops; complex-step runs on complex
+numbers and multiplies by 1/N, which gives those of numpy's complex loops
+without fused multiply-adds, whatever numpy's runtime SIMD dispatch,
+provided CPython does not fuse its complex product either (an x86-64
+build without -march does not).  Finiteness is checked once per
+observation interval: a state changes only by x = x + ..., so once
+non-finite it stays so, and an interval that fails is replayed one step
+at a time.  A failure then names the earliest step at which any
+trajectory leaves the double range, as one batched state would.
 
 The SVIR right-hand side is implemented exactly as printed in the source
 model: the susceptible equation carries no -nu*S term, so the total
@@ -205,11 +209,10 @@ def integrate(rhs, x0, grid: TimeGrid, substeps: int) -> np.ndarray:
 
 
 def _rk4_real(s, v, i, r, beta, nu, ab, gamma, n_total, h, substeps):
-    # substeps RK4 steps of svir_rhs on floats from (s, v, i, r), in
-    # integrate's and svir_rhs's operation order with alpha*beta = ab formed
-    # first and no call inside the loop; numpy's real loops divide by N.
-    # dS/dt is -x with x = beta*I*S/N; a float x + (-y) is x - y bit for
-    # bit, so the S stages subtract x instead of adding -x
+    # substeps RK4 steps from (s, v, i, r), with alpha*beta = ab formed
+    # first and no call inside the loop.  dS/dt is -x with x = beta*I*S/N;
+    # a float x + (-y) is x - y bit for bit, so the S stages subtract x
+    # instead of adding -x
     hh = 0.5 * h
     h6 = h / 6.0
     for _ in range(substeps):
@@ -252,10 +255,9 @@ def _rk4_real(s, v, i, r, beta, nu, ab, gamma, n_total, h, substeps):
 def _rk4_complex(s, v, i, r, beta, nu, ab, gamma, n_total, h, substeps):
     # _rk4_real on complex numbers, with dS/dt = -x as svir_rhs forms it:
     # for complex numbers x + (-y) and x - y can differ in the sign of a
-    # zero.  numpy's complex loops multiply by 1/N and promote each real
-    # factor to a complex one with zero imaginary part; the constants are
-    # promoted here once, which also spares CPython the float product it
-    # tries first
+    # zero.  numpy's complex loops promote each real factor to a complex
+    # one with zero imaginary part; the constants are promoted here once,
+    # which also spares CPython the float product it tries first
     hh = complex(0.5 * h)
     h6 = complex(h / 6.0)
     hc = complex(h)
@@ -304,19 +306,16 @@ def _rk4_complex(s, v, i, r, beta, nu, ab, gamma, n_total, h, substeps):
 
 def _infectious(q: list, ic: SvirState, times: list, substeps: int):
     # I(t) on the grid for one parameter vector q of Python floats or
-    # complex numbers: integrate(svir_rhs) on scalars, step for step.
-    # Returns (I values, None), or (I values so far, (idx, k, t)) for the
-    # first step k of grid interval idx that leaves a state non-finite.
-    # A state changes only by x = x + ..., so once non-finite it stays so:
-    # the check after each interval fires exactly when a step inside it
-    # failed, and that interval is then replayed one step at a time.
+    # complex numbers.  Returns (I values, None), or (I values so far,
+    # (idx, k, t)) for the first step k of grid interval idx that leaves a
+    # state non-finite, with t accumulated as t = t + h like integrate's
     beta, nu, alpha, gamma = q
     if isinstance(beta, complex):
         rk4, isfinite, scalar = _rk4_complex, cmath.isfinite, complex
     else:
         rk4, isfinite, scalar = _rk4_real, math.isfinite, float
     ab, n_total = alpha * beta, float(ic.n)
-    x = tuple(map(scalar, ic.as_array().tolist()))
+    x = (scalar(ic.s), scalar(ic.v), scalar(ic.i), scalar(ic.r))
     out = [x[2]]
     for idx in range(len(times) - 1):
         h = (times[idx + 1] - times[idx]) / substeps
@@ -340,19 +339,13 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
     """n x 4 sensitivity of I(t_i) to (beta, nu, alpha, gamma).
 
     central-fd perturbs each parameter by h_j = step*max(|q_j|, 1e-8) on
-    both sides, and raises InputDomainError if h_j or q_j +- h_j is not
-    finite; complex-step evaluates Im f(q + ih e_j)/h with absolute step h.
-    Each perturbed trajectory runs through one RK4 on Python scalars,
-    floats for central-fd and complex numbers for complex-step, in the
-    operation order of svir_rhs under integrate.  That gives the bits of
-    numpy's real loops, and, where CPython does not fuse its complex
-    product, those of numpy's complex loops without fused multiply-adds,
-    under any SIMD dispatch.  The states are checked for finiteness at the
-    end of each observation interval, and a failed interval is replayed
-    step by step: a non-finite state raises IntegrationFailureError at the
-    earliest step any trajectory reaches it, as one batched numpy state
-    would.
+    both sides and returns (f(q + h_j e_j) - f(q - h_j e_j)) / (2 h_j);
+    complex-step returns Im f(q + ih e_j) / h with absolute step h.
     Defaults: default_initial_state(), DEFAULT_GRID, DEFAULT_SENS_METHOD.
+    Raises InputDomainError for a grid of fewer than 4 observations,
+    substeps < 1, or a central-fd q_j +- h_j that is not finite, and
+    IntegrationFailureError at the earliest RK4 step that leaves a
+    perturbed state non-finite.
     """
     ic = ic or default_initial_state()
     grid = grid or DEFAULT_GRID
@@ -361,29 +354,26 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
         raise InputDomainError("sensitivity grid needs at least 4 observations")
     if substeps < 1:
         raise InputDomainError("substeps must be >= 1")
-    q0 = params.as_array()
+    # Python floats, so that an overflow gives inf rather than a warning
+    q0 = [float(x) for x in (params.beta, params.nu, params.alpha, params.gamma)]
+    h = float(method.step)
     if method.kind == "central-fd":
-        # vectors q0 + h_j e_j and q0 - h_j e_j, interleaved per parameter;
-        # an overflow is rejected below, not reported as a numpy warning
-        j = np.arange(4)
-        qs = np.repeat(q0[:, None], 8, axis=1)
-        with np.errstate(over="ignore"):
-            h = method.step * np.maximum(np.abs(q0), 1e-8)
-            qs[j, 2 * j] += h
-            qs[j, 2 * j + 1] -= h
-        # q0 is finite, so an infinite h_j leaves q_j +- h_j infinite too
-        for name, plus, minus in zip(PARAM_NAMES, qs[j, 2 * j], qs[j, 2 * j + 1]):
-            if not (math.isfinite(plus) and math.isfinite(minus)):
-                raise InputDomainError(
-                    f"central-fd step {method.step!r} takes {name} +- h "
-                    "out of the double range")
-        vectors = qs.T.tolist()
+        # q0 + h_j e_j and q0 - h_j e_j, interleaved per parameter; q0 is
+        # finite, so an infinite h_j leaves q_j +- h_j infinite too
+        hs = [h * max(abs(x), 1e-8) for x in q0]
+        vectors = []
+        for j, name in enumerate(PARAM_NAMES):
+            for qj in (q0[j] + hs[j], q0[j] - hs[j]):
+                if not math.isfinite(qj):
+                    raise InputDomainError(
+                        f"central-fd step {method.step!r} takes {name} +- h "
+                        "out of the double range")
+                vectors.append(q0[:j] + [qj] + q0[j + 1:])
     else:
-        h = float(method.step)
-        # vectors q0 + ih e_j
-        vectors = [[complex(x, h if k == j else 0.0)
-                    for k, x in enumerate(q0.tolist())] for j in range(4)]
-    times = grid.times.tolist()
+        # q0 + ih e_j
+        vectors = [[complex(x, h if k == j else 0.0) for k, x in enumerate(q0)]
+                   for j in range(4)]
+    times = [float(t) for t in grid.times]
     runs = [_infectious(q, ic, times, substeps) for q in vectors]
     failures = [failure for _, failure in runs if failure is not None]
     if failures:
@@ -392,7 +382,7 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
         raise IntegrationFailureError(f"non-finite state at t={t:.6g}", time=t)
     f = np.array([out for out, _ in runs]).T
     if method.kind == "central-fd":
-        return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)
+        return (f[:, 0::2] - f[:, 1::2]) / (2.0 * np.array(hs))
     return f.imag / h
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -24,8 +25,16 @@ from cssident import (
     srrqr_rho,
     svd,
 )
+from cssident import css
 from cssident.bench import realize
-from cssident.css import _B1_BLOCK, _exchange, _gram_certified_pick, _working
+from cssident.css import (
+    _B1_BLOCK,
+    _b1_certified_argmax,
+    _exchange,
+    _gram_certified_pick,
+    _top_eigenvector,
+    _working,
+)
 from cssident.linalg import _EPS, _nonneg_diag
 from cssident.metrics import compute_metrics, theorem_bound_checks
 
@@ -253,6 +262,45 @@ class TestCssB1InverseIteration:
         chi = _ships(200, 100, 20, 2)
         assert css_b1(chi, 20).extras == css_b1(chi, 20).extras
 
+    # R = I with r_00 = r_11 = 1e-158 and r_01 = r_12 = 1: every diagonal
+    # reciprocal is finite, but R^{-1} e_2 has the entry 1e316 in row 0.
+    # With start row 0 zero, R^{-T} X stays finite (row 0 of X is at the
+    # rounding level) and its left singular vectors lie along e_1 - e_2
+    def _overflowing_block(self, ell=40):
+        r = np.eye(ell)
+        r[[0, 1], [0, 1]] = 1e-158
+        r[[0, 1], [1, 2]] = 1.0
+        return r
+
+    def test_iteration_refuses_a_non_finite_first_solve(self):
+        block = self._overflowing_block()
+        start = np.random.default_rng(0).standard_normal((40, _B1_BLOCK))
+        x = np.linalg.qr(start)[0]
+        assert not np.all(np.isfinite(sla.solve_triangular(block, x, trans="T")))
+        assert _b1_certified_argmax(block, start) == (None, None, 1)
+
+    def test_iteration_refuses_a_non_finite_second_solve(self):
+        block = self._overflowing_block()
+        start = np.random.default_rng(0).standard_normal((40, _B1_BLOCK))
+        start[0] = 0.0
+        x = np.linalg.qr(start)[0]
+        assert np.all(np.isfinite(sla.solve_triangular(block, x, trans="T")))
+        assert _b1_certified_argmax(block, start) == (None, None, 1)
+
+    def test_overflowing_solves_keep_the_svds_perm(self, monkeypatch):
+        calls = []
+
+        def spy(block, start):
+            calls.append(_b1_certified_argmax(block, start))
+            return calls[-1]
+
+        monkeypatch.setattr(css, "_b1_certified_argmax", spy)
+        chi = self._overflowing_block(60)
+        res = css_b1(chi, 30)
+        assert calls[0] == (None, None, 1)
+        assert res.extras["svd_fallbacks"] == 30
+        assert np.array_equal(res.perm, _reference_b1(chi, 30))
+
 
 # b4 and b3 on the matrices of B1_ITERATION_CASES; at k = 80 the square
 # n = 100 matrices also run blocks small enough to go straight to the SVD
@@ -326,6 +374,33 @@ class TestGreedyGramRoute:
         sigma[1] = sigma[0]
         block = qr_unpivoted((u * sigma) @ v.T).r
         assert _gram_certified_pick(block, 1) is None
+
+    def test_one_vector_pick_refuses_where_the_shifted_solve_misses(self, monkeypatch):
+        # G = B^T B has eigenvalues 2 (along (e_1 + e_2) / sqrt(2)), 1.5625
+        # and 0, well separated; its largest diagonal entry is G_00, whose
+        # column is orthogonal to the top eigenvector, so the one shifted
+        # solve lands on e_0 with Rayleigh quotient 1.5625 and no gap
+        block = np.array([[1.25, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        calls = []
+
+        def spy(*args):
+            calls.append(_top_eigenvector(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(css, "_top_eigenvector", spy)
+        assert _gram_certified_pick(block, 1) is None
+        assert calls == [(None, None)]
+
+    @pytest.mark.parametrize("g, w1, w2, delta", [
+        # g - (w1 + delta) I is exactly singular
+        (np.diag([2.0, 1.0]), 2.0, 1.0, 0.0),
+        # the start column, and so the solution, is zero
+        (np.zeros((2, 2)), 1.0, 0.0, 0.0),
+        # the Rayleigh quotient 2 does not exceed w2 + 2 delta = 3
+        (np.diag([2.0, 1.0]), 2.0, 1.0, 1.0),
+    ], ids=["singular-shift", "zero-norm", "no-gap"])
+    def test_top_eigenvector_refuses(self, g, w1, w2, delta):
+        assert _top_eigenvector(g, w1, w2, delta) == (None, None)
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_one_vector_pick_is_the_svds_on_ships(self, seed):

@@ -309,8 +309,10 @@ class TestSvirSensitivity:
 
     def test_central_fd_perturbation_out_of_the_double_range_is_an_input_error(self):
         # h_j overflows in the product, or q_j + h_j in the sum; either is
-        # rejected before any numpy overflow warning (an error under pytest)
-        for beta, step in ((1e300, 1e300), (1e308, 1.0)):
+        # rejected before any numpy overflow warning (an error under pytest),
+        # numpy scalars from a library caller included
+        for beta, step in ((1e300, 1e300), (1e308, 1.0),
+                           (np.float64(1e300), np.float64(1e300))):
             with pytest.raises(InputDomainError, match="takes beta "):
                 svir_sensitivity(SvirParams(beta=beta), method=SensMethod.central_fd(step))
 
