@@ -68,7 +68,6 @@ from .odesens import (
     observe_prescribed,
     observe_prescribed_integrated,
     sample_nominal_neighborhood,
-    svir_rhs,
     svir_sensitivity,
     verify_prescribed_sensitivity,
 )

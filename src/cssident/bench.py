@@ -68,9 +68,10 @@ class ExperimentSpec:
         )
 
     def as_dict(self) -> dict:
-        # the policy as a spec writes it: k when set, eta when nonzero
+        # the policy as a spec writes it: k when set, eta where the mode reads it
+        threshold = self.k_policy.mode in ("absolute", "relative")
         policy = {key: val for key, val in asdict(self.k_policy).items()
-                  if val is not None and (key != "eta" or val)}
+                  if val is not None and (key != "eta" or threshold)}
         return asdict(self) | {"algorithms": list(self.algorithms), "k_policy": policy}
 
 

@@ -69,16 +69,10 @@ def _given(args, *names) -> dict:
             if getattr(args, name) is not None}
 
 
-def _policy_from_args(args) -> RankPolicy:
-    # each mode reads only its own flag: --k for fixed, --eta for a threshold
-    mode = args.k_policy
-    return RankPolicy(mode=mode, k=args.k if mode == "fixed" else None,
-                      eta=args.eta if mode in ("absolute", "relative") else None)
-
-
 def cmd_analyze(args) -> int:
     chi = read_matrix(args.input)
-    policy = _policy_from_args(args)
+    # RankPolicy rejects a --k or --eta that the mode does not read
+    policy = RankPolicy(mode=args.k_policy, k=args.k, eta=args.eta)
     cfg = SrrqrConfig(**_given(args, "f"))
     chi_svd = linalg.svd(chi)
     result = run_css(chi, chi_svd, args.algorithm, policy, cfg)

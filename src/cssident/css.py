@@ -67,7 +67,9 @@ class RankPolicy:
 
     mode is one of 'fixed', 'absolute', 'relative', 'gap'.  ``k`` is used
     by 'fixed', which requires it; ``eta`` is the threshold that 'absolute'
-    and 'relative' require, and the other modes record it as 0.0.
+    and 'relative' require, and the other modes record it as 0.0.  A mode
+    rejects a field it does not read, so that a given k or eta is never
+    silently ignored.
     """
 
     mode: str
@@ -79,8 +81,12 @@ class RankPolicy:
             raise InputDomainError(f"unknown rank policy mode {self.mode!r}")
         if self.mode == "fixed" and (self.k is None or self.k < 1):
             raise InputDomainError("fixed rank policy needs k >= 1")
+        if self.k is not None and self.mode != "fixed":
+            raise InputDomainError(f"{self.mode} rank policy does not read k")
         if self.eta is None and self.mode in ("absolute", "relative"):
             raise InputDomainError(f"{self.mode} rank policy needs eta")
+        if self.eta is not None and self.mode in ("fixed", "gap"):
+            raise InputDomainError(f"{self.mode} rank policy does not read eta")
         object.__setattr__(self, "eta", float(self.eta or 0.0))
         if not self.eta >= 0:
             raise InputDomainError("eta must be nonnegative")

@@ -17,8 +17,8 @@ which a linear-uniform draw misses by more than ten orders of magnitude.
 spec's ``generator``, a ``generate`` sidecar's params).  A key left out
 takes the default of the generator it feeds, written once in that
 generator's signature, in SpectrumSpec or in a module constant here.  A
-missing key or a range failing ``lo <= hi`` (as NaN does) raises
-InputDomainError.
+missing key, a key the family does not read or a range failing
+``lo <= hi`` (as NaN does) raises InputDomainError.
 """
 from __future__ import annotations
 
@@ -34,10 +34,15 @@ FAMILIES = ("kahan", "gu_eisenstat", "jolliffe", "sorensen_embree", "ships")
 
 # the seed draws the whole matrix (kahan, gu_eisenstat: only zeta)
 SEEDED_FAMILIES = ("jolliffe", "sorensen_embree", "ships")
-# the families realize accepts and the keys each description must carry
+# the families realize accepts, the keys each description must carry, and
+# the further keys each family reads; realize rejects any other key
 REQUIRED_KEYS = {"identity": ("n",), "gaussian": ("n", "p"), "kahan": ("n",),
                  "gu_eisenstat": ("n",), "jolliffe": ("n", "p"), "ships": ("n", "p"),
                  "sorensen_embree": ("n", "p", "spectrum")}
+OPTIONAL_KEYS = {"identity": ("p",), "gaussian": (), "kahan": ("zeta", "zeta_range"),
+                 "gu_eisenstat": ("zeta", "zeta_range"),
+                 "jolliffe": ("spectrum", "block_size", "rho_range"),
+                 "ships": ("spectrum",), "sorensen_embree": ()}
 ZETA_RANGE = (0.9, 0.99999)
 JOLLIFFE_BLOCK_SIZE = 5
 JOLLIFFE_RHO_RANGE = (0.9, 0.99999)
@@ -321,6 +326,9 @@ def realize(generator: dict, seed: int) -> np.ndarray:
     if family not in REQUIRED_KEYS:
         raise InputDomainError(f"unknown generator family {family!r}")
     _require(family, params, REQUIRED_KEYS[family])
+    for key in params:
+        if key not in REQUIRED_KEYS[family] + OPTIONAL_KEYS[family]:
+            raise InputDomainError(f"{family} does not read key {key!r}")
     n, rng = int(params["n"]), np.random.default_rng(seed)
     if family == "identity":
         return np.eye(n, int(params.get("p", n)))

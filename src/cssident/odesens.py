@@ -1,12 +1,13 @@
 """Sensitivity matrices from the SVIR compartment model, and a linear
 dynamical system realizing a prescribed sensitivity SVD.
 
-An SVIR state is an array whose first axis is (S, V, I, R); trailing
-axes hold independent trajectories, which :func:`integrate` steps as one.
-Sensitivities step each perturbed trajectory on Python scalars instead,
-in the operation order of :func:`svir_rhs` under :func:`integrate`, one
-observation interval per call of an RK4 kernel with the right-hand side
-written out inline.  Central-fd runs on floats and divides by N, which
+:func:`integrate` steps a numpy state of any shape with classical RK4.
+SVIR sensitivities step each perturbed trajectory on Python scalars
+instead, one observation interval per call of an RK4 kernel with the
+right-hand side written out inline.  Their bits are those of the numpy
+model the tests keep as reference (``tests/svir_reference.py``): its
+right-hand side under :func:`integrate`, with all perturbed trajectories
+as one batched state.  Central-fd runs on floats and divides by N, which
 gives the bits of numpy's real loops; complex-step runs on complex
 numbers and multiplies by 1/N, which gives those of numpy's complex loops
 without fused multiply-adds, whatever numpy's runtime SIMD dispatch,
@@ -20,8 +21,8 @@ trajectory leaves the double range, as one batched state would.
 The SVIR right-hand side is implemented exactly as printed in the source
 model: the susceptible equation carries no -nu*S term, so the total
 population is not conserved; d(S+V+I+R)/dt = nu*S along trajectories.
-That defect is measurable through :func:`population_defect` rather than
-silently corrected.
+That defect is measured, not corrected: ``TestPopulationBookkeeping``
+checks it against the tests' reference.
 """
 from __future__ import annotations
 
@@ -52,8 +53,8 @@ class SvirParams:
         if any(not np.isfinite(v) or v < 0 for v in vals):
             raise InputDomainError("SVIR parameters must be nonnegative and finite")
 
-    def as_array(self, dtype=float) -> np.ndarray:
-        return np.array([self.beta, self.nu, self.alpha, self.gamma], dtype=dtype)
+    def as_array(self) -> np.ndarray:
+        return np.array([self.beta, self.nu, self.alpha, self.gamma])
 
     @classmethod
     def from_array(cls, q) -> "SvirParams":
@@ -81,9 +82,6 @@ class SvirState:
                 and self.n > 0):
             raise InputDomainError(
                 "S, V, I, R and N must be finite, and N must be positive")
-
-    def as_array(self, dtype=float) -> np.ndarray:
-        return np.array([self.s, self.v, self.i, self.r], dtype=dtype)
 
 
 def default_initial_state(n_total: float = 1e5, i0: float = 10.0) -> SvirState:
@@ -156,21 +154,6 @@ class SensMethod:
 
 DEFAULT_SENS_METHOD = SensMethod.complex_step()
 SVIR_SUBSTEPS = 100
-
-
-def svir_rhs(x: np.ndarray, q: np.ndarray, n_total: float) -> np.ndarray:
-    """Time derivative of (S, V, I, R), exactly as printed.
-
-    ``x`` is an array whose first axis is (S, V, I, R) and ``q`` one whose
-    first axis is (beta, nu, alpha, gamma), real or complex; their
-    trailing axes index independent trajectories and broadcast together.
-    """
-    s, v, i, r = x
-    beta, nu, alpha, gamma = q
-    infection_s = beta * i * s / n_total
-    infection_v = alpha * beta * i * v / n_total
-    return np.array([-infection_s, nu * s - infection_v,
-                     infection_s + infection_v - gamma * i, gamma * i])
 
 
 def integrate(rhs, x0, grid: TimeGrid, substeps: int) -> np.ndarray:
@@ -253,7 +236,7 @@ def _rk4_real(s, v, i, r, beta, nu, ab, gamma, n_total, h, substeps):
 
 
 def _rk4_complex(s, v, i, r, beta, nu, ab, gamma, n_total, h, substeps):
-    # _rk4_real on complex numbers, with dS/dt = -x as svir_rhs forms it:
+    # _rk4_real on complex numbers, with dS/dt = -x as the reference forms it:
     # for complex numbers x + (-y) and x - y can differ in the sign of a
     # zero.  numpy's complex loops promote each real factor to a complex
     # one with zero imaginary part; the constants are promoted here once,
@@ -384,33 +367,6 @@ def svir_sensitivity(params: SvirParams, ic: SvirState | None = None,
     if method.kind == "central-fd":
         return (f[:, 0::2] - f[:, 1::2]) / (2.0 * np.array(hs))
     return f.imag / h
-
-
-def population_defect(params: SvirParams, ic: SvirState, grid: TimeGrid,
-                      substeps: int, reference_integral: float) -> float:
-    """|(S+V+I+R)(T) - (S+V+I+R)(0) - nu * integral(S dt)|.
-
-    ``reference_integral`` must be an accurate value of integral(S dt);
-    the defect then isolates the RK4 error of the trajectory itself.
-    """
-    q = params.as_array()
-    traj = integrate(lambda _t, x: svir_rhs(x, q, ic.n), ic.as_array(), grid,
-                     substeps)
-    total_change = float(traj[-1].sum() - traj[0].sum())
-    return abs(total_change - params.nu * reference_integral)
-
-
-def susceptible_integral(params: SvirParams, ic: SvirState, grid: TimeGrid,
-                         substeps: int = 800) -> float:
-    """integral of S dt over the grid, via an augmented quadrature state."""
-    q = params.as_array()
-
-    def rhs(_t, x):
-        return np.concatenate([svir_rhs(x[:4], q, ic.n), x[:1]])
-
-    x0 = np.concatenate([ic.as_array(), [0.0]])
-    traj = integrate(rhs, x0, grid, substeps)
-    return float(traj[-1, 4])
 
 
 def sample_nominal_neighborhood(params: SvirParams, fraction: float,

@@ -158,6 +158,13 @@ class TestSpecParsing:
         echoed = spec.as_dict()
         assert echoed["generator"] == raw["generator"]
         assert echoed["f"] == {"srrqr": 1.5}
+        # each mode echoes the fields it reads, a zero threshold included,
+        # so the echo is a spec that reads back to the same policy
+        for policy in ({"mode": "fixed", "k": 7}, {"mode": "gap"},
+                       {"mode": "absolute", "eta": 0.0}):
+            spec = ExperimentSpec.from_dict(raw | {"k_policy": policy})
+            assert spec.as_dict()["k_policy"] == policy
+            assert ExperimentSpec.from_dict(spec.as_dict()) == spec
 
     def test_validation(self):
         with pytest.raises(InputDomainError):

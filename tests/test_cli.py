@@ -112,6 +112,18 @@ class TestAnalyze:
         assert capsys.readouterr().err == f"error: {mode} rank policy needs eta\n"
 
     @pytest.mark.parametrize("argv, message", [
+        # the default policy is gap, which would pick its own k
+        (("--k", "5"), "gap rank policy does not read k"),
+        (("--k-policy", "fixed", "--k", "2", "--eta", "1e-12"),
+         "fixed rank policy does not read eta"),
+    ])
+    def test_policy_flag_the_mode_does_not_read_exits_2(self, identity_csv, tmp_path,
+                                                        capsys, argv, message):
+        assert run_cli("analyze", "--input", str(identity_csv), "--algorithm", "b1",
+                       *argv, "--output", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
         (("--algorithm", "srrqr", "--f", "nan", "--k-policy", "fixed", "--k", "1"),
          "srrqr needs f >= 1"),
         (("--algorithm", "b1", "--k-policy", "absolute", "--eta", "nan"),
@@ -551,6 +563,9 @@ class TestBench:
         # two errors: the algorithm is found first, but best_match reports
         # the shallower one
         ({"algorithms": ["b7"], "realizations": "1"}, "'1' is not of type 'integer'"),
+        # only srrqr reads f
+        ({"f": {"srqr": 2.0}},
+         "Additional properties are not allowed ('srqr' was unexpected)"),
     ])
     def test_schema_violation_message(self, tmp_path, capsys, change, message):
         payload = {key: value for key, value in (self.VALID_SPEC | change).items()
@@ -645,6 +660,17 @@ class TestBench:
          "zeta_range needs lo <= hi, got (nan, 0.95)"),
         ({"family": "jolliffe", "n": 20, "p": 10, "rho_range": [math.nan, 0.95]},
          "rho_range needs lo <= hi, got (nan, 0.95)"),
+        # a key the family does not read would be ignored, not honoured
+        ({"family": "gaussian", "n": 30, "p": 6,
+          "spectrum": {"k": 2, "leading": [1e5, 1e6]}},
+         "gaussian does not read key 'spectrum'"),
+        ({"family": "kahan", "n": 10, "p": 4}, "kahan does not read key 'p'"),
+        ({"family": "ships", "n": 20, "p": 10, "spectrum": {"k": 2}, "zeta": 0.9},
+         "ships does not read key 'zeta'"),
+        ({"family": "ships", "n": 20, "p": 10, "spectrum": {"k": 2}, "block_size": 2},
+         "ships does not read key 'block_size'"),
+        ({"family": "identity", "n": 4, "zeta_range": [0.9, 0.99]},
+         "identity does not read key 'zeta_range'"),
     ])
     def test_rejected_description_records_generator_errors(self, tmp_path,
                                                             generator, message):

@@ -30,6 +30,15 @@ def _read_mm(path, text):
 CASES = {
     "rank-policy-mode": (lambda _: RankPolicy(mode="largest"),
                          "unknown rank policy mode 'largest'"),
+    "rank-policy-unread-k": (lambda _: RankPolicy(mode="gap", k=5),
+                             "gap rank policy does not read k"),
+    "rank-policy-unread-k-threshold": (
+        lambda _: RankPolicy(mode="relative", k=5, eta=1e-12),
+        "relative rank policy does not read k"),
+    "rank-policy-unread-eta": (lambda _: RankPolicy(mode="fixed", k=2, eta=1e-12),
+                               "fixed rank policy does not read eta"),
+    "rank-policy-unread-eta-gap": (lambda _: RankPolicy(mode="gap", eta=0.0),
+                                   "gap rank policy does not read eta"),
     "srrqr-max-swaps": (lambda _: SrrqrConfig(max_swaps=0), "max_swaps must be positive"),
     "rho-not-square": (lambda _: srrqr_rho(np.ones((2, 3)), 1, 0, 0),
                        "r must be square, got (2, 3)"),

@@ -25,19 +25,26 @@ from cssident import (
     sample_nominal_neighborhood,
     select_k,
     svd,
-    svir_rhs,
     svir_sensitivity,
     verify_prescribed_sensitivity,
 )
 from cssident.config import _EPS
 from cssident.linalg import SvdFactors
-from cssident.odesens import population_defect, susceptible_integral
+from svir_reference import (
+    batched_sensitivity,
+    param_array,
+    population_defect,
+    state_array,
+    susceptible_integral,
+    svir_rhs,
+)
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _rhs_of(state: SvirState, params: SvirParams) -> np.ndarray:
-    return svir_rhs(state.as_array(), params.as_array(), state.n)
+    return svir_rhs(state_array(state), param_array(params), state.n)
 
 
 class TestSvirRhs:
@@ -116,12 +123,12 @@ class TestIntegrate:
 
     def test_svir_trajectory_stays_physical(self):
         ic = default_initial_state()
-        q = NOMINAL_SVIR.as_array()
+        q = param_array(NOMINAL_SVIR)
 
         def rhs(t, x):
             return svir_rhs(x, q, ic.n)
 
-        traj = integrate(rhs, ic.as_array(), TimeGrid.days(31), substeps=100)
+        traj = integrate(rhs, state_array(ic), TimeGrid.days(31), substeps=100)
         assert np.all(np.isfinite(traj))
         assert np.all(traj[:, 2] >= 0.0)
 
@@ -200,7 +207,7 @@ class TestSvirSensitivity:
         # reference: each perturbed parameter vector integrated on its own
         def infectious(q):
             traj = integrate(lambda _t, x: svir_rhs(x, q, ic.n),
-                             ic.as_array(q.dtype), grid, substeps)
+                             state_array(ic, q.dtype), grid, substeps)
             return traj[:, 2]
 
         sens = np.empty((len(grid), 4))
@@ -223,7 +230,7 @@ class TestSvirSensitivity:
         params = sample_nominal_neighborhood(NOMINAL_SVIR, 0.2, seed=5)
         ic, grid = default_initial_state(), TimeGrid.days(11)
         sens = svir_sensitivity(params, ic, grid, method, substeps=40)
-        ref = self._one_trajectory_per_vector(params.as_array(), ic, grid,
+        ref = self._one_trajectory_per_vector(param_array(params), ic, grid,
                                               method, 40)
         if method.kind == "central-fd":
             np.testing.assert_array_equal(sens, ref)
@@ -252,27 +259,6 @@ class TestSvirSensitivity:
                      np.array(table["sens"][f"{draw}/{method.kind}"]))]
         assert moved == []
 
-    @staticmethod
-    def _batched_state(params, ic, grid, method, substeps):
-        # reference: the perturbed trajectories as one numpy state through
-        # integrate(svir_rhs), which stops at the first non-finite step;
-        # central-fd's is 4 x 8 and real, complex-step's 4 x 4 and complex
-        q0 = params.as_array()
-        if method.kind == "central-fd":
-            h = method.step * np.maximum(np.abs(q0), 1e-8)
-            j = np.arange(4)
-            qs = np.repeat(q0[:, None], 8, axis=1)
-            qs[j, 2 * j] += h
-            qs[j, 2 * j + 1] -= h
-        else:
-            qs = np.repeat(q0.astype(complex)[:, None], 4, axis=1)
-            qs[np.diag_indices(4)] += 1j * method.step
-        x0 = np.repeat(ic.as_array(qs.dtype)[:, None], qs.shape[1], axis=1)
-        f = integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)[:, 2]
-        if method.kind == "central-fd":
-            return (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)
-        return f.imag / method.step
-
     @pytest.mark.parametrize("params, method", (
         (SvirParams(beta=1e300), SensMethod.central_fd()),
         (NOMINAL_SVIR, SensMethod.central_fd(1e300)),
@@ -290,7 +276,7 @@ class TestSvirSensitivity:
         # same failure time and message as the batched state; returns the time
         ic, grid, substeps = default_initial_state(), TimeGrid.days(5), 100
         with pytest.raises(IntegrationFailureError) as ref:
-            self._batched_state(params, ic, grid, method, substeps)
+            batched_sensitivity(params, ic, grid, method, substeps)
         with pytest.raises(IntegrationFailureError) as err:
             svir_sensitivity(params, ic, grid, method, substeps)
         assert err.value.time == ref.value.time
@@ -335,31 +321,22 @@ class TestSvirSensitivity:
     )
     EDGE_CHILD = """
 import json, sys
+sys.path.insert(0, sys.argv[2])
 import numpy as np
 from cssident import (IntegrationFailureError, SensMethod, SvirParams, SvirState,
-                      TimeGrid, integrate, svir_rhs, svir_sensitivity)
-
-def numpy_route(params, ic, grid, step, substeps):
-    # the four perturbed trajectories as one complex numpy state
-    qs = np.repeat(params.as_array(complex)[:, None], 4, axis=1)
-    qs[np.diag_indices(4)] += 1j * step
-    x0 = np.repeat(ic.as_array(complex)[:, None], 4, axis=1)
-    traj = integrate(lambda _t, x: svir_rhs(x, qs, ic.n), x0, grid, substeps)
-    return traj[:, 2].imag / step
-
-def kernel(params, ic, grid, step, substeps):
-    return svir_sensitivity(params, ic, grid, SensMethod.complex_step(step),
-                            substeps)
+                      TimeGrid, svir_sensitivity)
+from svir_reference import batched_sensitivity
 
 def outcome(route, rates, state, times, substeps):
     try:
-        sens = route(SvirParams(*rates), SvirState(*state),
-                     TimeGrid(np.array(times)), 1e-20, substeps)
+        sens = route(SvirParams(*rates), SvirState(*state), TimeGrid(np.array(times)),
+                     SensMethod.complex_step(), substeps)
     except IntegrationFailureError as exc:
         return [exc.time, str(exc)]
     return [x.hex() for x in sens.ravel().tolist()]
 
-print(json.dumps([[outcome(kernel, *case), outcome(numpy_route, *case)]
+print(json.dumps([[outcome(svir_sensitivity, *case),
+                   outcome(batched_sensitivity, *case)]
                   for case in json.loads(sys.argv[1])]))
 """
 
@@ -368,7 +345,8 @@ print(json.dumps([[outcome(kernel, *case), outcome(numpy_route, *case)]
         # numpy's complex loops without AVX2/AVX-512 round each product
         # unfused, as the scalar kernel does; both run in one child process
         proc = subprocess.run(
-            [sys.executable, "-c", self.EDGE_CHILD, json.dumps(self.EDGE_CASES)],
+            [sys.executable, "-c", self.EDGE_CHILD, json.dumps(self.EDGE_CASES),
+             str(TESTS)],
             env=numpy_without_avx_env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         results = json.loads(proc.stdout)
@@ -388,7 +366,7 @@ print(json.dumps([[outcome(kernel, *case), outcome(numpy_route, *case)]
             return sens.tobytes()
 
         results = [(outcome(svir_sensitivity, *case),
-                    outcome(self._batched_state, *case)) for case in self.EDGE_CASES]
+                    outcome(batched_sensitivity, *case)) for case in self.EDGE_CASES]
         assert [kern == ref for kern, ref in results] == [True] * len(self.EDGE_CASES)
         assert results[-1][0][1].startswith("non-finite state at t=")
 
